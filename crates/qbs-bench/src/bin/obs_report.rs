@@ -1,25 +1,31 @@
 //! Emits `BENCH_obs.json`: what observability costs and what it sees.
 //!
-//! For every translated corpus query, measures `reps` executions three
-//! ways over the seeded universe database:
+//! For every translated corpus query (Appendix A plus the grouped
+//! fragments, so the aggregate operator is measured too), measures `reps`
+//! executions three ways over the seeded universe database:
 //!
 //! * **baseline** — `Database::execute_plan_with` over a precomputed
-//!   plan: the raw interpreter loop, no connection machinery;
+//!   plan: the plan interpreter alone, no connection machinery;
 //! * **disabled** — `Connection::execute` over a prepared statement:
 //!   the production path with per-node instrumentation compiled in but
 //!   switched off (`actuals = None`, no per-node clock reads);
 //! * **analyze** — `Connection::explain_analyze`: instrumentation on,
 //!   every operator's rows and wall-clock recorded.
 //!
+//! All three run the same operator pipeline, so the disabled overhead is
+//! what the connection adds per call (snapshot pin, plan-cache lookup,
+//! parameter validation) plus the switched-off instrumentation.
+//!
 //! From the analyze runs it aggregates the per-operator time breakdown
-//! (scan / join / residual filter / sort / distinct) and the planner's
+//! (scan / join / residual filter / aggregate / sort / distinct) and the
+//! planner's
 //! estimate-vs-actual cardinality error distribution (q-error per
 //! cardinality-bearing node). The corpus synthesis that produces the
 //! query set runs with a metrics registry attached, so the batch
 //! scheduler's and pipeline's counters land in the report too.
 //!
 //! Exits non-zero when the disabled-instrumentation production path
-//! costs more than [`MAX_DISABLED_OVERHEAD`]× the raw interpreter
+//! costs more than [`MAX_DISABLED_OVERHEAD`]× the plan-interpreter
 //! baseline over the relational corpus fragments — the CI gate keeping
 //! observability free when it is off.
 //!
@@ -29,7 +35,7 @@
 //! ```
 
 use qbs::FragmentStatus;
-use qbs_batch::{corpus_inputs, BatchConfig, BatchRunner};
+use qbs_batch::{corpus_inputs, grouped_inputs, BatchConfig, BatchRunner};
 use qbs_bench::harness::{json_escape, BenchArgs};
 use qbs_db::{plan_with, Connection, Params, PlanConfig};
 use qbs_sql::SqlQuery;
@@ -38,7 +44,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 /// The production path with instrumentation disabled must stay within
-/// this factor of the raw interpreter loop.
+/// this factor of the plan interpreter alone.
 const MAX_DISABLED_OVERHEAD: f64 = 1.05;
 
 struct Measured {
@@ -48,12 +54,12 @@ struct Measured {
     disabled_us: f64,
     analyze_us: f64,
     output_rows: usize,
-    op_ns: [u64; 5],
+    op_ns: [u64; 6],
     total_ns: u64,
 }
 
 /// Per-operator keys, in the order of `Measured::op_ns`.
-const OPS: [&str; 5] = ["scan", "join", "residual", "sort", "distinct"];
+const OPS: [&str; 6] = ["scan", "join", "residual", "aggregate", "sort", "distinct"];
 
 /// The planner's q-error on one node: how far off the estimate was, as
 /// a factor ≥ 1 (1.0 = exact), symmetric in over- and under-estimates.
@@ -69,7 +75,9 @@ fn main() -> ExitCode {
     // scheduler gauges and per-stage totals ride into the report.
     let metrics = qbs_obs::Metrics::new();
     let runner = BatchRunner::new(BatchConfig::new().with_metrics(metrics.clone()));
-    let report = runner.run(&corpus_inputs());
+    let mut inputs = corpus_inputs();
+    inputs.extend(grouped_inputs());
+    let report = runner.run(&inputs);
     report.record_metrics(&metrics);
     let queries: Vec<(String, SqlQuery)> = report
         .fragments
@@ -153,6 +161,7 @@ fn main() -> ExitCode {
             a.scans.iter().map(|s| s.elapsed_ns).sum(),
             a.joins.iter().map(|j| j.elapsed_ns).sum(),
             a.residual.as_ref().map_or(0, |o| o.elapsed_ns),
+            a.aggregate.as_ref().map_or(0, |o| o.elapsed_ns),
             a.sort.as_ref().map_or(0, |o| o.elapsed_ns),
             a.distinct.as_ref().map_or(0, |o| o.elapsed_ns),
         ];
@@ -178,7 +187,7 @@ fn main() -> ExitCode {
     let disabled_overhead = disabled_total / baseline_total.max(1e-9);
     let analyze_overhead = analyze_total / baseline_total.max(1e-9);
 
-    let mut breakdown = [0u64; 5];
+    let mut breakdown = [0u64; 6];
     for m in &measured {
         for (total, ns) in breakdown.iter_mut().zip(m.op_ns) {
             *total += ns;
@@ -220,39 +229,6 @@ fn main() -> ExitCode {
         let _ = write!(out, "\n    \"{}\": {v}{comma}", json_escape(name));
     }
     let _ = writeln!(out, "\n  }},");
-    // Both bytecode VMs' registries: dispatch/compile counters plus the
-    // vm.compile_ns histogram summary. The disabled/analyze runs above
-    // executed through the connection's compiled-plan path, so the plan
-    // side has live numbers; the kernel side reports whatever the corpus
-    // synthesis compiled.
-    for (section, vm) in
-        [("plan_vm", qbs_db::vm_metrics()), ("kernel_vm", qbs_kernel::vm_metrics())]
-    {
-        let snap = vm.snapshot();
-        let counters: Vec<_> =
-            snap.counters.iter().filter(|(k, _)| k.starts_with("vm.")).collect();
-        let _ = write!(out, "  \"{section}\": {{");
-        for (name, v) in &counters {
-            let _ = write!(out, "\n    \"{}\": {v},", json_escape(name));
-        }
-        match snap.histograms.get("vm.compile_ns") {
-            Some(h) => {
-                let _ = writeln!(
-                    out,
-                    "\n    \"vm.compile_ns\": {{\"count\": {}, \"sum\": {}, \
-                     \"min\": {}, \"max\": {}}}",
-                    h.count,
-                    h.sum,
-                    h.min.unwrap_or(0),
-                    h.max.unwrap_or(0),
-                );
-            }
-            None => {
-                let _ = writeln!(out, "\n    \"vm.compile_ns\": null");
-            }
-        }
-        let _ = writeln!(out, "  }},");
-    }
     let _ = writeln!(out, "  \"results\": [");
     for (i, m) in measured.iter().enumerate() {
         let comma = if i + 1 < measured.len() { "," } else { "" };
@@ -260,8 +236,8 @@ fn main() -> ExitCode {
             out,
             "    {{\"method\": \"{}\", \"relational\": {}, \"baseline_us\": {:.2}, \
              \"disabled_us\": {:.2}, \"analyze_us\": {:.2}, \"output_rows\": {}, \
-             \"scan_ns\": {}, \"join_ns\": {}, \"residual_ns\": {}, \"sort_ns\": {}, \
-             \"distinct_ns\": {}, \"total_ns\": {}}}{comma}",
+             \"scan_ns\": {}, \"join_ns\": {}, \"residual_ns\": {}, \"aggregate_ns\": {}, \
+             \"sort_ns\": {}, \"distinct_ns\": {}, \"total_ns\": {}}}{comma}",
             json_escape(&m.method),
             m.relational,
             m.baseline_us,
@@ -273,6 +249,7 @@ fn main() -> ExitCode {
             m.op_ns[2],
             m.op_ns[3],
             m.op_ns[4],
+            m.op_ns[5],
             m.total_ns,
         );
     }
@@ -296,7 +273,7 @@ fn main() -> ExitCode {
     }
     if disabled_overhead > MAX_DISABLED_OVERHEAD {
         eprintln!(
-            "REGRESSION: disabled instrumentation costs {:.1}% over the raw interpreter \
+            "REGRESSION: disabled instrumentation costs {:.1}% over the plan-interpreter \
              baseline (budget {:.0}%)",
             (disabled_overhead - 1.0) * 100.0,
             (MAX_DISABLED_OVERHEAD - 1.0) * 100.0,

@@ -21,7 +21,6 @@
 //! assert_eq!(rel.len(), 1);
 //! ```
 
-pub mod bytecode;
 mod error;
 mod ident;
 mod record;
@@ -29,7 +28,6 @@ mod relation;
 mod schema;
 mod value;
 
-pub use bytecode::{DispatchTally, OpCode, Program};
 pub use error::{CommonError, ErrorSource, QbsError, Result};
 pub use ident::Ident;
 pub use record::Record;

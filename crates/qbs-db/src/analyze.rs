@@ -39,6 +39,14 @@ pub struct OpActuals {
     pub elapsed_ns: u64,
 }
 
+impl OpActuals {
+    /// The actuals of an operator opened at `opened` (`None`: untimed)
+    /// that emitted `rows_out` rows.
+    pub(crate) fn since(opened: Option<std::time::Instant>, rows_out: usize) -> OpActuals {
+        OpActuals { rows_out, elapsed_ns: opened.map_or(0, |t| t.elapsed().as_nanos() as u64) }
+    }
+}
+
 /// Per-operator actuals of one plan interpretation, in the same shape as
 /// the [`PhysicalPlan`] they were recorded against.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

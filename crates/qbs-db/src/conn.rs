@@ -34,7 +34,6 @@ use crate::db::{Database, DbError, Params, QueryOutput, SelectOutput, SubquerySt
 use crate::planner::{plan_with, PhysicalPlan, PlanConfig};
 use crate::stmt::{fingerprint, replan, snapshot, PlanState, PreparedStatement, Snapshot};
 use crate::storage::Table;
-use crate::vm::PlanProgram;
 use qbs_common::Value;
 use qbs_sql::{Dialect, SqlQuery};
 use std::collections::HashMap;
@@ -377,37 +376,7 @@ impl Connection {
         stmt: &PreparedStatement,
         params: &Params,
     ) -> Result<QueryOutput, DbError> {
-        stmt.validate(params)?;
-        let (db, version) = self.pin();
-        let opened = Instant::now();
-        let (plan, program, reused) = self.plan_for(stmt, &db);
-        let plan_ns = opened.elapsed().as_nanos() as u64;
-        // The compiled bytecode program (cached on the statement next to
-        // the plan) drives execution; plans the VM declined — and every
-        // plan under `force_interpreter` — run the tree-walking
-        // interpreter, which remains the differential baseline.
-        let mut out = match &program {
-            Some(prog) => db.execute_program(
-                prog,
-                params,
-                &self.inner.subqueries,
-                version,
-                Some(&stmt.out_schema),
-            )?,
-            None => db.execute_plan_cached(
-                &plan,
-                params,
-                &self.inner.subqueries,
-                version,
-                Some(&stmt.out_schema),
-            )?,
-        };
-        out.stats.plan_ns = plan_ns;
-        if reused {
-            out.stats.plan_cache_hits += 1;
-        } else {
-            out.stats.replans += 1;
-        }
+        let (db, _, out) = self.run(stmt, params, None)?;
         match stmt.query() {
             SqlQuery::Select(_) => Ok(QueryOutput::Rows(out)),
             SqlQuery::Scalar(s) => db.finish_scalar(s, out, params),
@@ -468,11 +437,12 @@ impl Connection {
     /// per-operator actuals — rows in and out, elapsed time, index use —
     /// next to the planner's `estimated_rows`.
     ///
-    /// The statement really executes: the plan cache, hoisted sub-query
-    /// cache, and generation-based invalidation all behave exactly as in
-    /// [`execute`](Self::execute), so the actuals are those of the
-    /// production path, not of a detached re-run. Scalar statements are
-    /// analyzed over their relational core.
+    /// The statement really executes, through the same path as
+    /// [`execute`](Self::execute): the plan cache, hoisted sub-query
+    /// cache, generation-based invalidation and the operator pipeline are
+    /// the ones that serve queries, so the actuals describe production
+    /// execution, not a detached re-run. Scalar statements are analyzed
+    /// over their relational core.
     ///
     /// # Errors
     ///
@@ -482,31 +452,43 @@ impl Connection {
         stmt: &PreparedStatement,
         params: &Params,
     ) -> Result<AnalyzedPlan, DbError> {
+        let mut actuals = PlanActuals::default();
+        let (_, plan, out) = self.run(stmt, params, Some(&mut actuals))?;
+        Ok(AnalyzedPlan { plan, actuals, stats: out.stats })
+    }
+
+    /// The one execution path under [`execute`](Self::execute) and
+    /// [`explain_analyze`](Self::explain_analyze): validate, pin a
+    /// snapshot, resolve the plan against it, run the plan's relational
+    /// core (recording per-operator `actuals` when given), and account the
+    /// plan-cache outcome. Returns the pinned database and the plan that
+    /// ran next to the output.
+    fn run(
+        &self,
+        stmt: &PreparedStatement,
+        params: &Params,
+        actuals: Option<&mut PlanActuals>,
+    ) -> Result<(Arc<Database>, Arc<PhysicalPlan>, SelectOutput), DbError> {
         stmt.validate(params)?;
         let (db, version) = self.pin();
         let opened = Instant::now();
-        // EXPLAIN ANALYZE stays on the tree-walking interpreter: the
-        // per-node instrumentation lives there, and analysis is not a
-        // serving hot path.
-        let (plan, _program, reused) = self.plan_for(stmt, &db);
+        let (plan, reused) = self.plan_for(stmt, &db);
         let plan_ns = opened.elapsed().as_nanos() as u64;
-        let mut actuals = PlanActuals::default();
-        let out = db.execute_plan_instrumented(
+        let mut out = db.run_statement(
             &plan,
             params,
             &self.inner.subqueries,
             version,
             Some(&stmt.out_schema),
-            Some(&mut actuals),
+            actuals,
         )?;
-        let mut stats = out.stats;
-        stats.plan_ns = plan_ns;
+        out.stats.plan_ns = plan_ns;
         if reused {
-            stats.plan_cache_hits += 1;
+            out.stats.plan_cache_hits += 1;
         } else {
-            stats.replans += 1;
+            out.stats.replans += 1;
         }
-        Ok(AnalyzedPlan { plan, actuals, stats })
+        Ok((db, plan, out))
     }
 
     /// A lock-free, by-value snapshot of the plan-cache counters shared
@@ -526,22 +508,15 @@ impl Connection {
     /// Resolves the statement's current plan against the *pinned*
     /// database: the statement's own plan when its snapshot is current,
     /// the fingerprint cache next, a fresh planning pass last. Returns
-    /// the plan, its compiled bytecode program (compiled lazily on first
-    /// use, `None` when the VM declined the shape or the config forces
-    /// the interpreter), and whether the plan was reused.
-    fn plan_for(
-        &self,
-        stmt: &PreparedStatement,
-        db: &Database,
-    ) -> (Arc<PhysicalPlan>, Option<Arc<PlanProgram>>, bool) {
+    /// the plan and whether it was reused.
+    fn plan_for(&self, stmt: &PreparedStatement, db: &Database) -> (Arc<PhysicalPlan>, bool) {
         // Steady-state fast path: compare the recorded generations in
         // place, no snapshot allocation.
         {
             let cur = stmt.lock_current();
             if cur.snapshot.iter().all(|(t, g)| db.table(t).map(Table::generation) == *g) {
                 self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
-                let program = self.program_for(&cur);
-                return (cur.plan.clone(), program, true);
+                return (cur.plan.clone(), true);
             }
         }
         let current = snapshot(db, &stmt.tables);
@@ -553,41 +528,24 @@ impl Connection {
                 .get(&stmt.fingerprint)
                 .and_then(|entry| (entry.snapshot == current).then(|| entry.plan.clone()))
         };
-        if let Some(plan) = cached {
-            self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
-            self.inner.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            let state = PlanState::new(plan.clone(), current);
-            let program = self.program_for(&state);
-            *stmt.lock_current() = state;
-            return (plan, program, false);
-        }
-        let plan = replan(stmt, db, &self.inner.config);
-        self.inner.stats.misses.fetch_add(1, Ordering::Relaxed);
+        let plan = match cached {
+            Some(plan) => {
+                self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
+                plan
+            }
+            None => {
+                let plan = replan(stmt, db, &self.inner.config);
+                self.inner.stats.misses.fetch_add(1, Ordering::Relaxed);
+                wlock(&self.inner.plans).insert(
+                    stmt.fingerprint,
+                    CachedPlan { plan: plan.clone(), snapshot: current.clone() },
+                );
+                plan
+            }
+        };
         self.inner.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-        wlock(&self.inner.plans).insert(
-            stmt.fingerprint,
-            CachedPlan { plan: plan.clone(), snapshot: current.clone() },
-        );
-        let state = PlanState::new(plan.clone(), current);
-        let program = self.program_for(&state);
-        *stmt.lock_current() = state;
-        (plan, program, false)
-    }
-
-    /// The compiled program of a plan state, compiling on first use.
-    /// `None` inside the cell records a shape the VM declined (or a
-    /// `force_interpreter` config), so the decision is made exactly once
-    /// per plan.
-    fn program_for(&self, state: &PlanState) -> Option<Arc<PlanProgram>> {
-        state
-            .program
-            .get_or_init(|| {
-                (!self.inner.config.force_interpreter)
-                    .then(|| crate::vm::compile_plan(&state.plan, &self.inner.config))
-                    .flatten()
-                    .map(Arc::new)
-            })
-            .clone()
+        *stmt.lock_current() = PlanState { plan: plan.clone(), snapshot: current };
+        (plan, false)
     }
 }
 
@@ -695,42 +653,40 @@ mod tests {
     }
 
     #[test]
-    fn compiled_program_and_filter_kernels_are_cached_on_the_statement() {
+    fn statements_share_one_resolved_plan_through_the_fingerprint_cache() {
         let conn = Connection::open(setup());
-        let stmt = conn.prepare("SELECT id FROM users WHERE roleId = :r").unwrap();
-        let params = stmt.bind().set("r", 1).unwrap().finish().unwrap();
-        let db = conn.database();
-        let (_, prog1, _) = conn.plan_for(&stmt, &db);
-        let (_, prog2, reused) = conn.plan_for(&stmt, &db);
-        assert!(reused);
-        let p1 = prog1.expect("parameterized filter compiles to a program");
-        let p2 = prog2.expect("steady state returns the cached program");
-        // Same allocation: the program — and the filter kernels compiled
-        // into it — is reused across executes, never recompiled per call.
-        assert!(Arc::ptr_eq(&p1, &p2));
-        let out = rows(conn.execute(&stmt, &params).unwrap());
-        assert_eq!(out.rows.len(), 2);
-        assert_eq!(out.stats.plan_cache_hits, 1, "{:?}", out.stats);
-        // A mutation replaces the plan state, which drops the stale
-        // program with it and compiles a fresh one.
+        let sql = "SELECT id FROM users WHERE roleId = :r";
+        let a = conn.prepare(sql).unwrap();
+        let b = conn.prepare(sql).unwrap();
+        // The second statement picked its plan up from the fingerprint
+        // cache: one resolution — compiled scan kernel included — shared
+        // by both, never recompiled per statement or per execute.
+        assert!(Arc::ptr_eq(&a.plan(), &b.plan()));
+        assert!(matches!(a.plan().scans[0].path, crate::db::ScanPath::Vector(Some(_))));
+        let params = a.bind().set("r", 1).unwrap().finish().unwrap();
         conn.insert("users", vec![Value::from(6), Value::from(1), Value::from("u6")]).unwrap();
-        let db = conn.database();
-        let (_, prog3, reused) = conn.plan_for(&stmt, &db);
-        assert!(!reused);
-        let p3 = prog3.expect("replanned statement recompiles");
-        assert!(!Arc::ptr_eq(&p1, &p3), "stale program was invalidated with the plan");
-    }
-
-    #[test]
-    fn force_interpreter_never_compiles_a_program() {
-        let config = PlanConfig { force_interpreter: true, ..PlanConfig::default() };
-        let conn = Connection::open_with(setup(), config, Dialect::Generic);
-        let stmt = conn.prepare("SELECT id FROM users WHERE roleId = 1").unwrap();
-        let db = conn.database();
-        let (_, program, _) = conn.plan_for(&stmt, &db);
-        assert!(program.is_none(), "force_interpreter keeps the tree-walking baseline");
-        let out = rows(conn.execute(&stmt, &Params::new()).unwrap());
-        assert_eq!(out.rows.len(), 2);
+        // After a write each statement re-resolves exactly once — the
+        // first by replanning, the second from the fingerprint cache —
+        // and is a plan-cache hit from then on.
+        for stmt in [&a, &b] {
+            let out = rows(conn.execute(stmt, &params).unwrap());
+            assert_eq!(out.rows.len(), 3);
+            assert_eq!(
+                (out.stats.replans, out.stats.plan_cache_hits),
+                (1, 0),
+                "{:?}",
+                out.stats
+            );
+            let out = rows(conn.execute(stmt, &params).unwrap());
+            assert_eq!(
+                (out.stats.replans, out.stats.plan_cache_hits),
+                (0, 1),
+                "{:?}",
+                out.stats
+            );
+        }
+        assert!(Arc::ptr_eq(&a.plan(), &b.plan()), "the re-resolved plan is shared too");
+        assert_eq!(conn.plan_cache_stats().misses, 2, "one planning pass per version");
     }
 
     #[test]

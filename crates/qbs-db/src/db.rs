@@ -1,16 +1,19 @@
 //! The database façade: catalog plus query execution.
 //!
 //! Planning and execution are split: [`crate::planner::plan_with`] computes
-//! a [`PhysicalPlan`] once, and [`Database::execute_plan`] interprets that
-//! IR. `explain()` renders the *same* plan value, so the planner cannot
-//! drift from the executor.
+//! a [`PhysicalPlan`] once — every decision that depends only on the plan,
+//! down to each scan's column kernel and each join's layout — and
+//! [`Database::execute_plan`] interprets that IR. `explain()` renders the
+//! *same* plan value, so the planner cannot drift from the executor.
 
 use crate::analyze::{OpActuals, PlanActuals, ScanActuals};
 use crate::exec::{
-    self, distinct, eval_expr, filter, hash_join, nested_loop_join, sort, EvalCtx, ExecStats,
-    Frame, RowRef, SubResult,
+    self, distinct, eval_expr, filter, hash_join, nested_loop_join, sort, sort_positions,
+    EvalCtx, ExecStats, Frame, RowRef, SubResult,
 };
-use crate::planner::{plan_with, PhysicalPlan, PlanConfig, ScanNode, ScanSource};
+use crate::planner::{
+    plan_with, JoinAlgorithm, PhysicalPlan, PlanConfig, ScanNode, ScanSource,
+};
 use crate::storage::{Chunk, ColumnVec, Table};
 use qbs_common::{FieldType, Ident, Record, Relation, Schema, SchemaRef, Value};
 use qbs_sql::{SqlExpr, SqlQuery, SqlSelect};
@@ -251,27 +254,21 @@ impl Database {
     /// Interprets one scan node: base-table rows (via the index probe when
     /// the plan chose one) or a recursive sub-query plan, with the pushed
     /// filter evaluated *before* each row is materialized. `limit` stops
-    /// the scan early once enough rows passed the filter (only set by the
-    /// planner when no later operator could change the prefix). `emit`
-    /// fuses the statement's projection into the scan itself (single-scan
-    /// plans with nothing between scan and projection): rows materialize
-    /// directly in output shape. `kernel` selects the scan strategy: the
-    /// interpreter passes [`ScanKernel::Auto`] (decide per execute, as
-    /// always), the bytecode VM passes the decision it already made at
-    /// compile time.
-    #[allow(clippy::too_many_arguments)] // two call sites; a param struct would just rename these
-    pub(crate) fn scan_node(
+    /// the scan early once enough rows passed the filter (only set when the
+    /// plan's shape lets no later operator change the prefix). `emit` fuses
+    /// the statement's projection into the scan itself (single-scan plans
+    /// with nothing between scan and projection): rows materialize directly
+    /// in output shape. Whether the scan runs vectorized, and with which
+    /// column kernel, was resolved at plan time ([`ScanPath`]).
+    fn scan_node(
         &self,
         node: &ScanNode,
-        params: &Params,
-        ctx: &EvalCtx<'_>,
+        run: &Run<'_>,
         stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
         limit: Option<usize>,
         emit: Option<&(Vec<exec::FrameCol>, Vec<usize>)>,
-        kernel: ScanKernel<'_>,
     ) -> Result<Frame, DbError> {
+        let params = run.ctx.params;
         match &node.source {
             ScanSource::Table(name) => {
                 let table =
@@ -321,15 +318,18 @@ impl Database {
                     None => None,
                 };
 
-                // The filter evaluates against the full scan layout (the
-                // raw row plus rowid), independent of what is emitted; the
-                // shell frame is only needed when a filter exists *and* the
-                // scan may take the row path (a pre-chosen vectorized scan
-                // never touches it, so the per-execute allocation is
-                // skipped).
-                let shell = match (&kernel, &node.filter) {
-                    (ScanKernel::Vector(_), _) | (_, None) => None,
-                    (_, Some(_)) => Some(Frame::new(node.cols.clone())),
+                // Vectorized columnar path: a full-table scan whose pushed
+                // filter (if any) compiled to a column kernel at plan time
+                // evaluates it over typed column slices in `SCAN_BATCH`-row
+                // batches, stitching output rows only for surviving
+                // positions. A kernel comparing against a parameter this
+                // execution left unbound takes the row path, which owns the
+                // unbound-parameter error.
+                let vector: Option<Option<&ColKernel>> = match &node.path {
+                    ScanPath::Vector(k) if k.as_ref().is_none_or(|k| k.binds(params)) => {
+                        Some(k.as_ref())
+                    }
+                    _ => None,
                 };
                 // Effective gather into the raw row: the fused projection
                 // (whose indices address the pruned output layout) composed
@@ -348,41 +348,6 @@ impl Database {
                     None => node.cols.clone(),
                 });
 
-                // Vectorized columnar path: a full-table scan whose pushed
-                // filter (if any) compiles to a column kernel evaluates it
-                // over typed column slices in `SCAN_BATCH`-row batches,
-                // stitching output rows only for surviving positions. Index
-                // probes, pushed limits (whose "stop at the k-th match"
-                // contract is row-at-a-time by nature), and filters outside
-                // the kernel grammar keep the row path below. Under
-                // [`ScanKernel::Auto`] the decision (and the kernel
-                // compilation) happens here per execute; the VM resolves
-                // both at plan-compile time and passes the result in.
-                let auto_kernel: Option<ColKernel>;
-                let vector: Option<Option<&ColKernel>> = match kernel {
-                    ScanKernel::Row => None,
-                    ScanKernel::Vector(k) => Some(k),
-                    ScanKernel::Auto => {
-                        if index_rows.is_none()
-                            && limit.is_none()
-                            && !shared.config.force_row_store
-                        {
-                            match &node.filter {
-                                None => Some(None),
-                                Some(pred) => {
-                                    auto_kernel = compile_kernel(
-                                        pred,
-                                        shell.as_ref().expect("shell built alongside filter"),
-                                        params,
-                                    );
-                                    auto_kernel.as_ref().map(Some)
-                                }
-                            }
-                        } else {
-                            None
-                        }
-                    }
-                };
                 if let Some(kernel) = vector {
                     let gather_row = |chunk: &Chunk, i: usize, frame: &mut Frame| {
                         let rowid = chunk.base() + i;
@@ -437,7 +402,7 @@ impl Database {
                                 while start < chunk.len() {
                                     let n = SCAN_BATCH.min(chunk.len() - start);
                                     let mask = &mut mask[..n];
-                                    eval_kernel(k, chunk, start, arity, mask);
+                                    eval_kernel(k, chunk, start, arity, params, mask);
                                     for (j, keep) in mask.iter().enumerate() {
                                         if *keep {
                                             gather_row(chunk, start + j, &mut frame);
@@ -451,18 +416,23 @@ impl Database {
                     return Ok(frame);
                 }
 
+                // The row path evaluates the filter against the full scan
+                // layout (the raw row plus rowid), independent of what is
+                // emitted.
+                let filter_in =
+                    node.filter.as_ref().map(|pred| (pred, Frame::new(node.cols.clone())));
                 let mut push_row = |rowid: usize,
                                     row: &[Value],
                                     stats: &mut ExecStats|
                  -> Result<bool, DbError> {
                     stats.rows_scanned += 1;
                     let rv = [Value::from(rowid as i64)];
-                    let keep = match &node.filter {
-                        Some(pred) => exec::truthy(&eval_expr(
+                    let keep = match &filter_in {
+                        Some((pred, shell)) => exec::truthy(&eval_expr(
                             pred,
-                            shell.as_ref().expect("shell built alongside filter"),
+                            shell,
                             RowRef::Pair(row, &rv),
-                            ctx,
+                            run.ctx,
                         )?)?,
                         None => true,
                     };
@@ -516,13 +486,19 @@ impl Database {
                 // renders), so only the row/comparison work is absorbed —
                 // the same contract as hoisted predicate sub-queries.
                 let mut inner_stats = ExecStats::default();
-                let inner =
-                    self.run_plan(plan, params, &mut inner_stats, shared, version, None)?;
+                let inner = self.run_plan(
+                    plan,
+                    params,
+                    &mut inner_stats,
+                    run.shared,
+                    run.version,
+                    None,
+                )?;
                 stats.absorb_nested(&inner_stats);
                 let mut f = Frame::new(node.cols.clone());
                 f.rows = inner.rows;
                 if let Some(pred) = &node.filter {
-                    f = filter(f, pred, ctx)?;
+                    f = filter(f, pred, run.ctx)?;
                 }
                 if let Some(n) = limit {
                     f.rows.truncate(n);
@@ -603,47 +579,23 @@ impl Database {
         params: &Params,
         config: &PlanConfig,
     ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_shared(plan, params, &SubqueryState::new(config.clone()), 0)
+        self.run_statement(plan, params, &SubqueryState::new(config.clone()), 0, None, None)
     }
 
-    /// [`Database::execute_plan_with`] against a caller-owned
-    /// [`SubqueryState`] — how a [`Connection`](crate::Connection) lets
-    /// hoisted sub-query results survive across statements. `version` is
-    /// the snapshot version this database value was pinned at (0 for
-    /// one-shot executions with a fresh state).
-    pub(crate) fn execute_plan_shared(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        shared: &SubqueryState,
-        version: u64,
-    ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_cached(plan, params, shared, version, None)
-    }
-
-    /// [`Database::execute_plan_shared`] with an optional output-schema
-    /// cache: a prepared statement's result schema is identical across
-    /// executions (types come from the table schemas), so re-deriving it
-    /// per call is waste on the execute-many hot path. The cache is only
-    /// written from a row-bearing result (an empty result cannot sniff
-    /// types) and only read when the arity matches.
-    pub(crate) fn execute_plan_cached(
-        &self,
-        plan: &PhysicalPlan,
-        params: &Params,
-        shared: &SubqueryState,
-        version: u64,
-        schema_cache: Option<&OnceLock<SchemaRef>>,
-    ) -> Result<SelectOutput, DbError> {
-        self.execute_plan_instrumented(plan, params, shared, version, schema_cache, None)
-    }
-
-    /// [`Database::execute_plan_cached`] with optional per-operator
-    /// instrumentation: when `actuals` is provided the interpreter
-    /// records rows and elapsed time per plan node into it — the engine
-    /// of `EXPLAIN ANALYZE`. With `None` the interpreter takes no
-    /// per-node clock readings at all (only the whole-plan `exec_ns`).
-    pub(crate) fn execute_plan_instrumented(
+    /// Executes a plan as one statement: the single entry under every
+    /// `execute_*` method and every [`Connection`](crate::Connection) path.
+    ///
+    /// * `shared` / `version` — the hoisted sub-query cache and the
+    ///   snapshot version this database value was pinned at (a fresh
+    ///   state and 0 for one-shot executions).
+    /// * `schema_cache` — a prepared statement's result schema is the same
+    ///   on every execution (types come from the table schemas), so it is
+    ///   sniffed once; the cache is only written from a row-bearing result
+    ///   and only read when the arity matches.
+    /// * `actuals` — `Some` records rows and elapsed time per operator
+    ///   (the engine of `EXPLAIN ANALYZE`); with `None` the interpreter
+    ///   reads no per-node clock, only the whole-plan `exec_ns`.
+    pub(crate) fn run_statement(
         &self,
         plan: &PhysicalPlan,
         params: &Params,
@@ -664,15 +616,19 @@ impl Database {
         finish_frame(frame, stats, schema_cache)
     }
 
-    /// The plan interpreter: scans, join steps, residual filter, sort,
-    /// projection, distinct, limit — exactly the decisions recorded in the
-    /// [`PhysicalPlan`], no re-planning.
+    /// Runs one plan (top-level, sub-query scan, or hoisted predicate
+    /// sub-query) with the sub-query hoisting machinery wired into its
+    /// [`EvalCtx`].
     ///
-    /// With `actuals` set, every operator's row count and wall-clock time
-    /// is recorded (the `EXPLAIN ANALYZE` path); with `None` the
-    /// interpreter reads no per-node clocks. Nested plans (sub-query
-    /// scans, hoisted predicate sub-queries) are never instrumented —
-    /// their work shows up in the enclosing scan's figures.
+    /// Uncorrelated predicate sub-queries are hoisted: executed at most
+    /// once per statement, with hash-set membership for the per-row
+    /// probes. Parameter-free results go through the connection-shared
+    /// version-tagged cache; parameter-dependent ones (valid only for
+    /// this run's bindings) and all nested counters stay in run-local
+    /// state, folded into `stats` at the end — concurrent statements
+    /// never touch each other's counters. Nested plans are never
+    /// instrumented: their work shows up in the enclosing operator's
+    /// figures.
     fn run_plan(
         &self,
         plan: &PhysicalPlan,
@@ -682,30 +638,6 @@ impl Database {
         version: u64,
         actuals: Option<&mut PlanActuals>,
     ) -> Result<Frame, DbError> {
-        self.with_hoisting(params, stats, shared, version, |ctx, stats| {
-            self.run_plan_ops(plan, params, ctx, stats, shared, version, actuals)
-        })
-    }
-
-    /// Runs `f` with the sub-query hoisting machinery wired into an
-    /// [`EvalCtx`] — the shared scaffolding under both plan executors
-    /// (the tree-walking interpreter and the bytecode VM).
-    ///
-    /// Uncorrelated predicate sub-queries are hoisted: executed at most
-    /// once per statement, with hash-set membership for the per-row
-    /// probes. Parameter-free results go through the connection-shared
-    /// version-tagged cache; parameter-dependent ones (valid only for
-    /// this run's bindings) and all nested counters stay in run-local
-    /// state, folded into `stats` at the end — concurrent statements
-    /// never touch each other's counters.
-    pub(crate) fn with_hoisting<T>(
-        &self,
-        params: &Params,
-        stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
-        f: impl FnOnce(&EvalCtx<'_>, &mut ExecStats) -> Result<T, DbError>,
-    ) -> Result<T, DbError> {
         let local: RefCell<LocalSubs> = RefCell::new(LocalSubs::default());
         let sub = |s: &SqlSelect| -> Result<Arc<SubResult>, exec::ExecError> {
             let param_free = !s.has_params();
@@ -742,98 +674,49 @@ impl Database {
             Ok(result)
         };
         let ctx = EvalCtx { params, subquery: &sub };
-        let out = f(&ctx, stats);
+        let out = self.run_plan_ops(plan, &Run { ctx: &ctx, shared, version }, stats, actuals);
         stats.absorb_nested(&local.borrow().stats);
         out
     }
 
-    /// The operator pipeline of [`Database::run_plan`], with the hoisting
-    /// closure already built into `ctx`.
-    #[allow(clippy::too_many_arguments)] // one call site; split from run_plan for the local fold
+    /// The operator pipeline: scans, join steps, residual filter,
+    /// aggregate, sort, paging, projection, distinct. Every decision that
+    /// depends only on the plan — each scan's path and column kernel, the
+    /// join layouts, ORDER BY positions, limit pushdown and projection
+    /// fusion — was resolved by [`plan_with`]; this loop only reads it.
+    ///
+    /// With `actuals` set, every operator's row count and wall-clock time
+    /// is recorded (the `EXPLAIN ANALYZE` path); with `None` the only
+    /// instrumentation cost is one branch per operator.
     fn run_plan_ops(
         &self,
         plan: &PhysicalPlan,
-        params: &Params,
-        ctx: &EvalCtx<'_>,
+        run: &Run<'_>,
         stats: &mut ExecStats,
-        shared: &SubqueryState,
-        version: u64,
         mut actuals: Option<&mut PlanActuals>,
     ) -> Result<Frame, DbError> {
-        let limit_n: Option<usize> = match &plan.limit {
-            None => None,
-            Some(SqlExpr::Lit(Value::Int(n))) => Some((*n).max(0) as usize),
-            Some(SqlExpr::Param(p)) => {
-                let n = params
-                    .get(p)
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| DbError::Exec(format!("unbound LIMIT parameter :{p}")))?;
-                Some(n.max(0) as usize)
-            }
-            Some(other) => return Err(DbError::Exec(format!("unsupported LIMIT {other:?}"))),
-        };
-        let offset_n: usize = match &plan.offset {
-            None => 0,
-            Some(SqlExpr::Lit(Value::Int(n))) => (*n).max(0) as usize,
-            Some(SqlExpr::Param(p)) => {
-                let n = params
-                    .get(p)
-                    .and_then(Value::as_int)
-                    .ok_or_else(|| DbError::Exec(format!("unbound OFFSET parameter :{p}")))?;
-                n.max(0) as usize
-            }
-            Some(other) => return Err(DbError::Exec(format!("unsupported OFFSET {other:?}"))),
-        };
-        // LIMIT pushed into the scan itself: sound only when no later
-        // operator can reject or reorder rows. An OFFSET widens the prefix
-        // the scan must produce — the first `offset` keepers are dropped
-        // again below, so the scan has to fetch `limit + offset` rows.
-        let scan_limit = (plan.scans.len() == 1
-            && plan.joins.is_empty()
-            && plan.residual.is_none()
-            && plan.aggregate.is_none()
-            && plan.order_by.is_empty()
-            && !plan.distinct)
-            .then_some(limit_n.map(|n| n.saturating_add(offset_n)))
-            .flatten();
+        let limit_n = page_bound(plan.limit.as_ref(), run.ctx.params, "LIMIT")?;
+        let offset_n = page_bound(plan.offset.as_ref(), run.ctx.params, "OFFSET")?.unwrap_or(0);
+        // An OFFSET widens the prefix a pushed scan must produce: the first
+        // `offset` keepers are dropped again below.
+        let scan_limit =
+            limit_n.filter(|_| plan.scan_limit).map(|n| n.saturating_add(offset_n));
+        // The projection fused into the final scan (single-scan plans) or
+        // join step (whose resolved layout already gathers it).
+        let fused = plan.projection.as_ref().filter(|_| plan.fused);
+        let scan_emit = fused.filter(|_| plan.scans.len() == 1);
 
-        // Projection fusion: with a statically resolved projection and no
-        // operator between the last scan/join and the projection, the
-        // final operator materializes rows directly in output shape and
-        // the separate projection pass disappears. An aggregate never
-        // fuses: its projection addresses the grouped output layout, not
-        // the scan/join layout.
-        let fused = plan.projection.is_some()
-            && plan.residual.is_none()
-            && plan.aggregate.is_none()
-            && plan.order_by.is_empty();
-        let scan_emit =
-            (fused && plan.scans.len() == 1).then(|| plan.projection.as_ref().expect("fused"));
-
-        // Per-node clock readings only happen on the analyze path — the
-        // production interpreter's instrumentation cost is one branch per
-        // operator.
         let timing = actuals.is_some();
         let mut frames: Vec<Frame> = Vec::with_capacity(plan.scans.len());
         for node in &plan.scans {
             let opened = timing.then(Instant::now);
             let scanned_before = stats.rows_scanned;
-            let frame = self.scan_node(
-                node,
-                params,
-                ctx,
-                stats,
-                shared,
-                version,
-                scan_limit,
-                scan_emit,
-                ScanKernel::Auto,
-            )?;
+            let frame = self.scan_node(node, run, stats, scan_limit, scan_emit)?;
             if let Some(a) = actuals.as_deref_mut() {
                 a.scans.push(ScanActuals {
                     rows_scanned: stats.rows_scanned - scanned_before,
                     rows_out: frame.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
+                    elapsed_ns: opened.map_or(0, |t| t.elapsed().as_nanos() as u64),
                     via_index: node.probe.is_some(),
                 });
             }
@@ -843,57 +726,39 @@ impl Database {
         let mut iter = frames.into_iter();
         let mut acc =
             iter.next().ok_or_else(|| DbError::Exec("query without FROM".to_string()))?;
-        for (k, (step, right)) in plan.joins.iter().zip(iter).enumerate() {
-            let emit = (fused && k + 1 == plan.joins.len())
-                .then(|| plan.projection.as_ref().expect("fused"));
+        for (step, right) in plan.joins.iter().zip(iter) {
             let opened = timing.then(Instant::now);
             acc = match (&step.algorithm, &step.key) {
-                (crate::planner::JoinAlgorithm::Hash, Some((lk, rk))) => {
+                (JoinAlgorithm::Hash, Some((lk, rk))) => {
                     // Plan-resolved key positions skip per-row expression
                     // evaluation entirely.
                     let (lkey, rkey) = match step.key_idx {
                         Some((li, ri)) => (exec::JoinKey::Idx(li), exec::JoinKey::Idx(ri)),
                         None => (exec::JoinKey::Expr(lk), exec::JoinKey::Expr(rk)),
                     };
-                    hash_join(
-                        acc,
-                        right,
-                        lkey,
-                        rkey,
-                        step.residual.as_ref(),
-                        emit,
-                        None,
-                        ctx,
-                        stats,
-                    )?
+                    let residual = step.residual.as_ref();
+                    hash_join(acc, right, lkey, rkey, residual, &step.layout, run.ctx, stats)?
                 }
                 _ => nested_loop_join(
                     acc,
                     right,
                     step.residual.as_ref(),
-                    emit,
-                    None,
-                    ctx,
+                    &step.layout,
+                    run.ctx,
                     stats,
                 )?,
             };
             if let Some(a) = actuals.as_deref_mut() {
-                a.joins.push(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
+                a.joins.push(OpActuals::since(opened, acc.rows.len()));
             }
         }
 
         // Leftover predicates (alias-free literals etc.).
         if let Some(pred) = &plan.residual {
             let opened = timing.then(Instant::now);
-            acc = filter(acc, pred, ctx)?;
+            acc = filter(acc, pred, run.ctx)?;
             if let Some(a) = actuals.as_deref_mut() {
-                a.residual = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
+                a.residual = Some(OpActuals::since(opened, acc.rows.len()));
             }
         }
 
@@ -902,29 +767,26 @@ impl Database {
         // HAVING as an ordinary filter over the grouped output.
         if let Some(agg) = &plan.aggregate {
             let opened = timing.then(Instant::now);
-            acc = exec::hash_aggregate(acc, agg, ctx)?;
+            acc = exec::hash_aggregate(acc, agg, run.ctx)?;
             if let Some(h) = &agg.having {
-                acc = filter(acc, h, ctx)?;
+                acc = filter(acc, h, run.ctx)?;
             }
             if let Some(a) = actuals.as_deref_mut() {
-                a.aggregate = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
+                a.aggregate = Some(OpActuals::since(opened, acc.rows.len()));
             }
         }
 
-        // ORDER BY before projection (keys may be unprojected).
+        // ORDER BY before projection (keys may be unprojected): by the
+        // plan-resolved key positions, or the expression sort for keys
+        // that did not resolve to plain columns.
         if !plan.order_by.is_empty() {
-            let keys: Vec<(SqlExpr, bool)> =
-                plan.order_by.iter().map(|k| (k.expr.clone(), k.asc)).collect();
             let opened = timing.then(Instant::now);
-            acc = sort(acc, &keys, ctx)?;
+            acc = match &plan.sort_keys {
+                Some(keys) => sort_positions(acc, keys),
+                None => sort(acc, &plan.order_by, run.ctx)?,
+            };
             if let Some(a) = actuals.as_deref_mut() {
-                a.sort = Some(OpActuals {
-                    rows_out: acc.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
+                a.sort = Some(OpActuals::since(opened, acc.rows.len()));
             }
         }
 
@@ -932,103 +794,16 @@ impl Database {
         // sort: drop the offset prefix and truncate before paying for
         // projection.
         if !plan.distinct {
-            if offset_n > 0 {
-                acc.rows.drain(..offset_n.min(acc.rows.len()));
-            }
-            if let Some(n) = limit_n {
-                acc.rows.truncate(n);
-            }
+            page(&mut acc, offset_n, limit_n);
         }
-
-        // Projection — already fused into the final scan/join above when
-        // possible.
-        if fused {
-            let mut frame = acc;
-            if plan.distinct {
-                let opened = timing.then(Instant::now);
-                frame = distinct(frame);
-                if let Some(a) = actuals.as_deref_mut() {
-                    a.distinct = Some(OpActuals {
-                        rows_out: frame.rows.len(),
-                        elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                    });
-                }
-                if offset_n > 0 {
-                    frame.rows.drain(..offset_n.min(frame.rows.len()));
-                }
-                if let Some(n) = limit_n {
-                    frame.rows.truncate(n);
-                }
-            }
-            return Ok(frame);
-        }
-        // The plan usually resolved the projection statically; the dynamic
-        // path remains for plans whose select items could not be resolved
-        // at plan time (and carries the runtime errors).
-        let (out_cols, out_idx): (Vec<exec::FrameCol>, Vec<usize>) = match &plan.projection {
-            Some((cols, idx)) => (cols.clone(), idx.clone()),
-            None => {
-                let mut out_cols = Vec::new();
-                let mut out_idx: Vec<usize> = Vec::new();
-                if plan.columns.is_empty() {
-                    for (i, c) in acc.cols.iter().enumerate() {
-                        if c.name != "rowid" {
-                            out_cols.push(c.clone());
-                            out_idx.push(i);
-                        }
-                    }
-                } else {
-                    for (k, item) in plan.columns.iter().enumerate() {
-                        match &item.expr {
-                            SqlExpr::Column { qualifier, name } => {
-                                let i =
-                                    acc.resolve(qualifier.as_ref(), name).ok_or_else(|| {
-                                        DbError::Exec(format!(
-                                            "unresolved select column {name}"
-                                        ))
-                                    })?;
-                                out_cols.push(exec::FrameCol {
-                                    alias: item
-                                        .alias
-                                        .clone()
-                                        .unwrap_or_else(|| acc.cols[i].alias.clone()),
-                                    name: item.alias.clone().unwrap_or_else(|| name.clone()),
-                                });
-                                out_idx.push(i);
-                            }
-                            other => {
-                                return Err(DbError::Exec(format!(
-                                    "unsupported select expression {other:?} at position {k}"
-                                )))
-                            }
-                        }
-                    }
-                }
-                (out_cols, out_idx)
-            }
-        };
-        let rows = acc
-            .rows
-            .into_iter()
-            .map(|r| out_idx.iter().map(|&i| r[i].clone()).collect())
-            .collect();
-        let mut frame = Frame { cols: out_cols, rows };
-
+        let mut frame = if fused.is_some() { acc } else { project(plan, acc)? };
         if plan.distinct {
             let opened = timing.then(Instant::now);
             frame = distinct(frame);
             if let Some(a) = actuals {
-                a.distinct = Some(OpActuals {
-                    rows_out: frame.rows.len(),
-                    elapsed_ns: opened.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
-                });
+                a.distinct = Some(OpActuals::since(opened, frame.rows.len()));
             }
-            if offset_n > 0 {
-                frame.rows.drain(..offset_n.min(frame.rows.len()));
-            }
-            if let Some(n) = limit_n {
-                frame.rows.truncate(n);
-            }
+            page(&mut frame, offset_n, limit_n);
         }
         Ok(frame)
     }
@@ -1158,11 +933,95 @@ fn aggregate(agg: AggKind, rows: &Relation) -> Result<Value, DbError> {
     }
 }
 
+/// What every operator of one plan run reads besides the plan: the
+/// evaluation context (bindings plus the hoisting closure), the
+/// connection's sub-query state and the pinned snapshot version.
+struct Run<'a> {
+    ctx: &'a EvalCtx<'a>,
+    shared: &'a SubqueryState,
+    version: u64,
+}
+
+/// Resolves a LIMIT/OFFSET operand against this execution's bindings.
+/// `what` names the clause in the error messages.
+fn page_bound(
+    e: Option<&SqlExpr>,
+    params: &Params,
+    what: &str,
+) -> Result<Option<usize>, DbError> {
+    match e {
+        None => Ok(None),
+        Some(SqlExpr::Lit(Value::Int(n))) => Ok(Some((*n).max(0) as usize)),
+        Some(SqlExpr::Param(p)) => {
+            let n = params
+                .get(p)
+                .and_then(Value::as_int)
+                .ok_or_else(|| DbError::Exec(format!("unbound {what} parameter :{p}")))?;
+            Ok(Some(n.max(0) as usize))
+        }
+        Some(other) => Err(DbError::Exec(format!("unsupported {what} {other:?}"))),
+    }
+}
+
+/// Applies an OFFSET/LIMIT window to a frame in place.
+fn page(frame: &mut Frame, offset: usize, limit: Option<usize>) {
+    if offset > 0 {
+        frame.rows.drain(..offset.min(frame.rows.len()));
+    }
+    if let Some(n) = limit {
+        frame.rows.truncate(n);
+    }
+}
+
+/// The projection of a plan whose final operator did not fuse it: the
+/// plan-resolved column positions, or — for select items the planner could
+/// not resolve statically — per-call resolution, which owns the runtime
+/// errors for those.
+fn project(plan: &PhysicalPlan, acc: Frame) -> Result<Frame, DbError> {
+    let resolved;
+    let (out_cols, out_idx) = match &plan.projection {
+        Some(p) => p,
+        None => {
+            let mut out_cols = Vec::new();
+            let mut out_idx: Vec<usize> = Vec::new();
+            if plan.columns.is_empty() {
+                for (i, c) in acc.cols.iter().enumerate() {
+                    if c.name != "rowid" {
+                        out_cols.push(c.clone());
+                        out_idx.push(i);
+                    }
+                }
+            } else {
+                for (k, item) in plan.columns.iter().enumerate() {
+                    let SqlExpr::Column { qualifier, name } = &item.expr else {
+                        return Err(DbError::Exec(format!(
+                            "unsupported select expression {:?} at position {k}",
+                            item.expr
+                        )));
+                    };
+                    let i = acc.resolve(qualifier.as_ref(), name).ok_or_else(|| {
+                        DbError::Exec(format!("unresolved select column {name}"))
+                    })?;
+                    out_cols.push(exec::FrameCol {
+                        alias: item.alias.clone().unwrap_or_else(|| acc.cols[i].alias.clone()),
+                        name: item.alias.clone().unwrap_or_else(|| name.clone()),
+                    });
+                    out_idx.push(i);
+                }
+            }
+            resolved = (out_cols, out_idx);
+            &resolved
+        }
+    };
+    let rows =
+        acc.rows.into_iter().map(|r| out_idx.iter().map(|&i| r[i].clone()).collect()).collect();
+    Ok(Frame { cols: out_cols.clone(), rows })
+}
+
 /// Builds the output relation from an executed frame: anonymous schema
 /// over the frame columns, reused from the cache when one is provided and
-/// fits — the materialization tail shared by the plan interpreter and the
-/// bytecode VM.
-pub(crate) fn finish_frame(
+/// fits.
+fn finish_frame(
     frame: Frame,
     stats: ExecStats,
     schema_cache: Option<&OnceLock<SchemaRef>>,
@@ -1198,20 +1057,16 @@ pub(crate) fn finish_frame(
     Ok(SelectOutput { rows, stats })
 }
 
-/// How [`Database::scan_node`] should execute one scan, as chosen by the
-/// caller. The tree-walking interpreter always passes [`ScanKernel::Auto`]
-/// (decide per execute — the historical behavior); the bytecode VM makes
-/// the decision once at plan-compile time and passes [`ScanKernel::Vector`]
-/// (with the pre-compiled kernel, or `None` for an unfiltered columnar
-/// sweep) or [`ScanKernel::Row`].
-pub(crate) enum ScanKernel<'a> {
-    /// Decide per execute from the probe/limit/config and the filter shape.
-    Auto,
-    /// Take the vectorized columnar path with this pre-compiled kernel
-    /// (`None`: no filter, every row survives).
-    Vector(Option<&'a ColKernel>),
-    /// Take the row-at-a-time path unconditionally.
+/// How one scan executes, resolved at plan time.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum ScanPath {
+    /// Row-at-a-time: index probes, pushed limits (whose "stop at the k-th
+    /// match" contract is row-at-a-time by nature), sub-query scans,
+    /// `force_row_store`, and filters outside the kernel grammar.
     Row,
+    /// Vectorized over column batches, with the filter's compiled kernel
+    /// (`None`: no filter, every row survives).
+    Vector(Option<ColKernel>),
 }
 
 /// Batch size for the vectorized scan path: large enough to amortize
@@ -1219,87 +1074,108 @@ pub(crate) enum ScanKernel<'a> {
 /// slices it covers stay cache-resident.
 pub(crate) const SCAN_BATCH: usize = 1024;
 
-/// A pushed scan filter compiled against the chunk column layout. Only
+/// A pushed scan filter compiled against the scan's column layout. Only
 /// shapes whose batch evaluation is *infallible* are representable:
-/// comparisons between one column and one constant (bind parameters are
-/// resolved to constants at compile time), closed under AND/OR/NOT.
-/// Everything else — column-to-column comparisons, unresolved names,
-/// unbound parameters, sub-queries, bare literals — declines to compile,
-/// and the scan falls back to the row-at-a-time path, which owns the
+/// comparisons between one column and one constant or bind parameter,
+/// closed under AND/OR/NOT. Everything else — column-to-column
+/// comparisons, unresolved names, sub-queries, bare literals — declines to
+/// compile, and the scan takes the row-at-a-time path, which owns the
 /// error reporting for those cases.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum ColKernel {
-    /// `column <op> constant`; constants on the left arrive here with the
+    /// `column <op> rhs`; constants on the left arrive here with the
     /// operator flipped.
     Cmp {
         pos: usize,
         op: CmpOp,
-        rhs: Value,
+        rhs: KernelRhs,
     },
     And(Vec<ColKernel>),
     Or(Vec<ColKernel>),
     Not(Box<ColKernel>),
 }
 
-enum KernelOperand {
-    Col(usize),
+/// The constant side of a kernel comparison: a literal, or a bind
+/// parameter looked up per execution.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum KernelRhs {
     Const(Value),
+    Param(Ident),
 }
 
-fn kernel_operand(e: &SqlExpr, shell: &Frame, params: &Params) -> Option<KernelOperand> {
+enum KernelOperand {
+    Col(usize),
+    Rhs(KernelRhs),
+}
+
+fn kernel_operand(e: &SqlExpr, cols: &[exec::FrameCol]) -> Option<KernelOperand> {
     match e {
         SqlExpr::Column { qualifier, name } => {
-            shell.resolve(qualifier.as_ref(), name).map(KernelOperand::Col)
+            exec::resolve_cols(cols, qualifier.as_ref(), name).map(KernelOperand::Col)
         }
-        SqlExpr::Lit(v) => Some(KernelOperand::Const(v.clone())),
-        SqlExpr::Param(p) => params.get(p).cloned().map(KernelOperand::Const),
+        SqlExpr::Lit(v) => Some(KernelOperand::Rhs(KernelRhs::Const(v.clone()))),
+        SqlExpr::Param(p) => Some(KernelOperand::Rhs(KernelRhs::Param(p.clone()))),
         _ => None,
     }
 }
 
-/// Compiles a pushed filter into a [`ColKernel`] against the scan's column
-/// layout (`shell` carries the raw row plus rowid). `None` means "use the
-/// row path".
-pub(crate) fn compile_kernel(e: &SqlExpr, shell: &Frame, params: &Params) -> Option<ColKernel> {
-    match e {
-        SqlExpr::Cmp(a, op, b) => {
-            match (kernel_operand(a, shell, params)?, kernel_operand(b, shell, params)?) {
-                (KernelOperand::Col(pos), KernelOperand::Const(rhs)) => {
-                    Some(ColKernel::Cmp { pos, op: *op, rhs })
+impl ColKernel {
+    /// Compiles a pushed filter against the scan's column layout (the raw
+    /// row plus rowid). `None` means "use the row path".
+    pub(crate) fn compile(e: &SqlExpr, cols: &[exec::FrameCol]) -> Option<ColKernel> {
+        let all = |ps: &[SqlExpr]| -> Option<Vec<ColKernel>> {
+            ps.iter().map(|p| ColKernel::compile(p, cols)).collect()
+        };
+        match e {
+            SqlExpr::Cmp(a, op, b) => {
+                match (kernel_operand(a, cols)?, kernel_operand(b, cols)?) {
+                    (KernelOperand::Col(pos), KernelOperand::Rhs(rhs)) => {
+                        Some(ColKernel::Cmp { pos, op: *op, rhs })
+                    }
+                    (KernelOperand::Rhs(rhs), KernelOperand::Col(pos)) => {
+                        Some(ColKernel::Cmp { pos, op: op.flip(), rhs })
+                    }
+                    _ => None,
                 }
-                (KernelOperand::Const(rhs), KernelOperand::Col(pos)) => {
-                    Some(ColKernel::Cmp { pos, op: op.flip(), rhs })
-                }
-                _ => None,
             }
+            SqlExpr::And(ps) if !ps.is_empty() => all(ps).map(ColKernel::And),
+            SqlExpr::Or(ps) if !ps.is_empty() => all(ps).map(ColKernel::Or),
+            SqlExpr::Not(x) => Some(ColKernel::Not(Box::new(ColKernel::compile(x, cols)?))),
+            _ => None,
         }
-        SqlExpr::And(ps) if !ps.is_empty() => {
-            let parts: Vec<ColKernel> =
-                ps.iter().map(|p| compile_kernel(p, shell, params)).collect::<Option<_>>()?;
-            Some(ColKernel::And(parts))
+    }
+
+    /// True when every parameter the kernel compares against is bound.
+    fn binds(&self, params: &Params) -> bool {
+        match self {
+            ColKernel::Cmp { rhs: KernelRhs::Param(p), .. } => params.contains_key(p),
+            ColKernel::Cmp { .. } => true,
+            ColKernel::And(ps) | ColKernel::Or(ps) => ps.iter().all(|p| p.binds(params)),
+            ColKernel::Not(x) => x.binds(params),
         }
-        SqlExpr::Or(ps) if !ps.is_empty() => {
-            let parts: Vec<ColKernel> =
-                ps.iter().map(|p| compile_kernel(p, shell, params)).collect::<Option<_>>()?;
-            Some(ColKernel::Or(parts))
-        }
-        SqlExpr::Not(x) => Some(ColKernel::Not(Box::new(compile_kernel(x, shell, params)?))),
-        _ => None,
     }
 }
 
 /// Evaluates a kernel over `mask.len()` rows of `chunk` starting at
 /// `start`, writing one keep/drop bit per row. Column position `arity` is
-/// the rowid pseudo-column (positional, not stored).
-pub(crate) fn eval_kernel(
+/// the rowid pseudo-column (positional, not stored); parameter operands
+/// read this execution's bindings.
+fn eval_kernel(
     k: &ColKernel,
     chunk: &Chunk,
     start: usize,
     arity: usize,
+    params: &Params,
     mask: &mut [bool],
 ) {
     match k {
         ColKernel::Cmp { pos, op, rhs } => {
+            let rhs = match rhs {
+                KernelRhs::Const(v) => v,
+                KernelRhs::Param(p) => {
+                    params.get(p).expect("bound: the scan checked `ColKernel::binds` first")
+                }
+            };
             if *pos == arity {
                 for (j, m) in mask.iter_mut().enumerate() {
                     let v = Value::from((chunk.base() + start + j) as i64);
@@ -1332,10 +1208,10 @@ pub(crate) fn eval_kernel(
         }
         ColKernel::And(parts) => {
             let (first, rest) = parts.split_first().expect("non-empty by construction");
-            eval_kernel(first, chunk, start, arity, mask);
+            eval_kernel(first, chunk, start, arity, params, mask);
             let mut scratch = vec![false; mask.len()];
             for p in rest {
-                eval_kernel(p, chunk, start, arity, &mut scratch);
+                eval_kernel(p, chunk, start, arity, params, &mut scratch);
                 for (m, s) in mask.iter_mut().zip(&scratch) {
                     *m = *m && *s;
                 }
@@ -1343,17 +1219,17 @@ pub(crate) fn eval_kernel(
         }
         ColKernel::Or(parts) => {
             let (first, rest) = parts.split_first().expect("non-empty by construction");
-            eval_kernel(first, chunk, start, arity, mask);
+            eval_kernel(first, chunk, start, arity, params, mask);
             let mut scratch = vec![false; mask.len()];
             for p in rest {
-                eval_kernel(p, chunk, start, arity, &mut scratch);
+                eval_kernel(p, chunk, start, arity, params, &mut scratch);
                 for (m, s) in mask.iter_mut().zip(&scratch) {
                     *m = *m || *s;
                 }
             }
         }
         ColKernel::Not(inner) => {
-            eval_kernel(inner, chunk, start, arity, mask);
+            eval_kernel(inner, chunk, start, arity, params, mask);
             for m in mask.iter_mut() {
                 *m = !*m;
             }

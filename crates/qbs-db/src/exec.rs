@@ -1,7 +1,7 @@
 //! Execution frames and order-preserving operators.
 
 use qbs_common::{Ident, Value};
-use qbs_sql::SqlExpr;
+use qbs_sql::{OrderKey, SqlExpr};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ pub struct FrameCol {
 }
 
 /// A batch of rows flowing between operators.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Frame {
     /// Column descriptors.
     pub cols: Vec<FrameCol>,
@@ -290,13 +290,9 @@ pub(crate) fn filter(
 /// Materializes one joined output row: the concatenated pair, or — when
 /// the statement's projection is fused into this join — just the gathered
 /// output columns, never building the full combined row.
-fn emit_pair(
-    l: &[Value],
-    r: &[Value],
-    emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
-) -> Vec<Value> {
-    match emit {
-        Some((_, idx)) => {
+fn emit_pair(l: &[Value], r: &[Value], gather: Option<&[usize]>) -> Vec<Value> {
+    match gather {
+        Some(idx) => {
             let pair = RowRef::Pair(l, r);
             idx.iter().map(|&i| pair.at(i).clone()).collect()
         }
@@ -308,53 +304,19 @@ fn emit_pair(
     }
 }
 
-/// The output layout of a join: the concatenated input columns, or the
-/// fused projection's columns.
-fn join_cols(
-    left: &Frame,
-    right: &Frame,
-    emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
-) -> (Vec<FrameCol>, Frame) {
-    let mut pair_cols = left.cols.clone();
-    pair_cols.extend(right.cols.clone());
-    let pair_frame = Frame::new(pair_cols.clone());
-    let out = match emit {
-        Some((cols, _)) => cols.clone(),
-        None => pair_cols,
-    };
-    (out, pair_frame)
-}
-
-/// A join's layouts precomputed at plan-compile time: what [`join_cols`]
-/// re-derives (three column-vector clones) on every execute. The bytecode
-/// VM builds one per join step whenever both input layouts are
-/// compile-time facts; the interpreter always passes `None`.
-#[derive(Debug)]
+/// A join step's layouts, resolved at plan time: every table scan
+/// materializes its pruned layout and joins concatenate left to right, so
+/// each step's input pair and output columns are plan facts.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct JoinLayout {
-    /// The join's output columns (the concatenated pair, or the fused
-    /// projection's columns).
+    /// The join's output columns: the concatenated pair, or the fused
+    /// projection's columns.
     pub out: Vec<FrameCol>,
     /// The concatenated-pair shell frame residual predicates evaluate in.
     pub pair: Frame,
-}
-
-/// The (output columns, pair shell) for one join execution: borrowed from
-/// the precomputed layout when one exists, otherwise derived from the
-/// input frames exactly as before.
-fn join_layout<'a>(
-    left: &Frame,
-    right: &Frame,
-    emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
-    layout: Option<&'a JoinLayout>,
-    computed: &'a mut Option<Frame>,
-) -> (Vec<FrameCol>, &'a Frame) {
-    match layout {
-        Some(l) => (l.out.clone(), &l.pair),
-        None => {
-            let (out, pair) = join_cols(left, right, emit);
-            (out, computed.insert(pair))
-        }
-    }
+    /// Positions of the pair gathered into each output row when the
+    /// statement's projection is fused into this join.
+    pub gather: Option<Vec<usize>>,
 }
 
 /// Nested-loop join: left-major order, right insertion order (the TOR `⋈`
@@ -364,28 +326,26 @@ pub(crate) fn nested_loop_join(
     left: Frame,
     right: Frame,
     pred: Option<&SqlExpr>,
-    emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
-    layout: Option<&JoinLayout>,
+    layout: &JoinLayout,
     ctx: &EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Frame, ExecError> {
-    let mut computed = None;
-    let (cols, pair_frame) = join_layout(&left, &right, emit, layout, &mut computed);
+    let gather = layout.gather.as_deref();
     let mut rows = Vec::new();
     for l in &left.rows {
         for r in &right.rows {
             stats.join_comparisons += 1;
             let keep = match pred {
-                Some(p) => truthy(&eval_expr(p, pair_frame, RowRef::Pair(l, r), ctx)?)?,
+                Some(p) => truthy(&eval_expr(p, &layout.pair, RowRef::Pair(l, r), ctx)?)?,
                 None => true,
             };
             if keep {
-                rows.push(emit_pair(l, r, emit));
+                rows.push(emit_pair(l, r, gather));
             }
         }
     }
     stats.joins.push("nested-loop");
-    Ok(Frame { cols, rows })
+    Ok(Frame { cols: layout.out.clone(), rows })
 }
 
 /// A hash-join key: a column position resolved at plan time (the fast
@@ -408,8 +368,7 @@ pub(crate) fn hash_join(
     left_key: JoinKey<'_>,
     right_key: JoinKey<'_>,
     residual: Option<&SqlExpr>,
-    emit: Option<&(Vec<FrameCol>, Vec<usize>)>,
-    layout: Option<&JoinLayout>,
+    layout: &JoinLayout,
     ctx: &EvalCtx<'_>,
     stats: &mut ExecStats,
 ) -> Result<Frame, ExecError> {
@@ -421,8 +380,7 @@ pub(crate) fn hash_join(
         };
         buckets.entry(k).or_default().push(i);
     }
-    let mut computed = None;
-    let (cols, pair_frame) = join_layout(&left, &right, emit, layout, &mut computed);
+    let gather = layout.gather.as_deref();
     let mut rows = Vec::new();
     for l in &left.rows {
         let probe_owned;
@@ -438,38 +396,38 @@ pub(crate) fn hash_join(
                 stats.join_comparisons += 1;
                 let r = &right.rows[ri];
                 let keep = match residual {
-                    Some(p) => truthy(&eval_expr(p, pair_frame, RowRef::Pair(l, r), ctx)?)?,
+                    Some(p) => truthy(&eval_expr(p, &layout.pair, RowRef::Pair(l, r), ctx)?)?,
                     None => true,
                 };
                 if keep {
-                    rows.push(emit_pair(l, r, emit));
+                    rows.push(emit_pair(l, r, gather));
                 }
             }
         }
     }
     stats.joins.push("hash");
-    Ok(Frame { cols, rows })
+    Ok(Frame { cols: layout.out.clone(), rows })
 }
 
-/// Stable sort by keys (ascending/descending per key).
+/// Stable sort by key expressions (ascending/descending per key).
 pub(crate) fn sort(
     frame: Frame,
-    keys: &[(SqlExpr, bool)],
+    keys: &[OrderKey],
     ctx: &EvalCtx<'_>,
 ) -> Result<Frame, ExecError> {
     let shell = Frame::new(frame.cols.clone());
     let mut decorated: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(frame.rows.len());
     for row in frame.rows {
         let mut ks = Vec::with_capacity(keys.len());
-        for (k, _) in keys {
-            ks.push(eval_expr(k, &shell, RowRef::Slice(&row), ctx)?);
+        for k in keys {
+            ks.push(eval_expr(&k.expr, &shell, RowRef::Slice(&row), ctx)?);
         }
         decorated.push((ks, row));
     }
     decorated.sort_by(|(ka, _), (kb, _)| {
-        for (i, (_, asc)) in keys.iter().enumerate() {
+        for (i, k) in keys.iter().enumerate() {
             let ord = ka[i].total_cmp(&kb[i]);
-            let ord = if *asc { ord } else { ord.reverse() };
+            let ord = if k.asc { ord } else { ord.reverse() };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
             }
@@ -479,11 +437,11 @@ pub(crate) fn sort(
     Ok(Frame { cols: frame.cols, rows: decorated.into_iter().map(|(_, r)| r).collect() })
 }
 
-/// [`sort`] specialized to key positions resolved at plan-compile time:
-/// the same stable order (`total_cmp` per key, ascending/descending) with
-/// rows compared in place — no per-row key evaluation, cloning, or
-/// decoration. The bytecode VM takes this path when every ORDER BY key is
-/// a plain column it can resolve against the pre-sort layout.
+/// [`sort`] specialized to key positions resolved at plan time: the same
+/// stable order (`total_cmp` per key, ascending/descending) with rows
+/// compared in place — no per-row key evaluation, cloning, or decoration.
+/// Plans take this path when every ORDER BY key is a plain column that
+/// resolves against the pre-sort layout.
 pub(crate) fn sort_positions(mut frame: Frame, keys: &[(usize, bool)]) -> Frame {
     frame.rows.sort_by(|a, b| {
         for (pos, asc) in keys {
@@ -498,10 +456,10 @@ pub(crate) fn sort_positions(mut frame: Frame, keys: &[(usize, bool)]) -> Frame 
     frame
 }
 
-/// Grouped hash aggregation — the `GROUP BY` operator shared by the plan
-/// interpreter and the bytecode VM. One output row per distinct key tuple,
-/// in first-occurrence key order: the TOR `Group` axiom order, which is
-/// also the iteration order of the kernel's map-accumulator loops.
+/// Grouped hash aggregation — the `GROUP BY` operator. One output row per
+/// distinct key tuple, in first-occurrence key order: the TOR `Group`
+/// axiom order, which is also the iteration order of the kernel's
+/// map-accumulator loops.
 ///
 /// Runs in two columnar passes over the materialized input. Pass one
 /// assigns each row a group id (keys resolve to column positions up
@@ -693,9 +651,12 @@ mod tests {
         let c = ctx(&params);
         let (l, r) = two_frames();
         let pred = SqlExpr::cmp(SqlExpr::qcol("l", "k"), CmpOp::Eq, SqlExpr::qcol("r", "k"));
+        let mut cols = l.cols.clone();
+        cols.extend(r.cols.clone());
+        let layout = JoinLayout { out: cols.clone(), pair: Frame::new(cols), gather: None };
         let mut s1 = ExecStats::default();
-        let nl = nested_loop_join(l.clone(), r.clone(), Some(&pred), None, None, &c, &mut s1)
-            .unwrap();
+        let nl =
+            nested_loop_join(l.clone(), r.clone(), Some(&pred), &layout, &c, &mut s1).unwrap();
         let mut s2 = ExecStats::default();
         let lk = SqlExpr::qcol("l", "k");
         let rk = SqlExpr::qcol("r", "k");
@@ -705,8 +666,7 @@ mod tests {
             JoinKey::Expr(&lk),
             JoinKey::Expr(&rk),
             None,
-            None,
-            None,
+            &layout,
             &c,
             &mut s2,
         )
@@ -718,7 +678,7 @@ mod tests {
         // Plan-resolved key positions take the same path to the same rows.
         let mut s3 = ExecStats::default();
         let by_idx =
-            hash_join(l, r, JoinKey::Idx(0), JoinKey::Idx(0), None, None, None, &c, &mut s3)
+            hash_join(l, r, JoinKey::Idx(0), JoinKey::Idx(0), None, &layout, &c, &mut s3)
                 .unwrap();
         assert_eq!(by_idx.rows, hj.rows);
         assert_eq!(s3.join_comparisons, s2.join_comparisons);
@@ -746,7 +706,8 @@ mod tests {
                 vec![1.into(), 3.into()],
             ],
         };
-        let sorted = sort(f, &[(SqlExpr::qcol("t", "a"), false)], &c).unwrap();
+        let key = OrderKey { expr: SqlExpr::qcol("t", "a"), asc: false };
+        let sorted = sort(f, &[key], &c).unwrap();
         assert_eq!(sorted.rows[0][0], Value::from(2));
         // Equal keys keep input order (b = 1 before b = 3).
         assert_eq!(sorted.rows[1][1], Value::from(1));

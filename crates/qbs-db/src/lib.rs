@@ -55,7 +55,6 @@ mod exec;
 mod planner;
 mod stmt;
 mod storage;
-mod vm;
 
 pub use analyze::{AnalyzedPlan, OpActuals, PlanActuals, ScanActuals};
 pub use compare::{rows_agree, rows_diff, RowsDiff, RowsEquivalence};
@@ -68,4 +67,3 @@ pub use planner::{
 };
 pub use stmt::{Binder, ParamSlot, PreparedStatement};
 pub use storage::Table;
-pub use vm::{vm_metrics, PlanProgram};

@@ -3,14 +3,17 @@
 //! [`plan_with`] runs every planning decision exactly once — selection
 //! pushdown, index selection, equi-join key extraction, greedy join
 //! ordering, cardinality estimation — and records the result as a
-//! [`PhysicalPlan`]. [`explain`] is a cheap rendering of that IR and
-//! `Database::execute_select` interprets it; because both sides consume the
-//! same value there is no second planning pass that could diverge from the
-//! executor (the pre-IR `explain()` re-derived the decisions by hand and,
-//! for example, counted one index scan per pushed equality predicate while
-//! the executor used at most one index per scan).
+//! [`PhysicalPlan`], together with the execution shape the interpreter
+//! reads (scan kernels, join layouts, sort positions). [`explain`] is a
+//! cheap rendering of that IR and `Database::execute_select` interprets
+//! it; because both sides consume the same value there is no second
+//! planning pass that could diverge from the executor (the pre-IR
+//! `explain()` re-derived the decisions by hand and, for example, counted
+//! one index scan per pushed equality predicate while the executor used at
+//! most one index per scan).
 
-use crate::exec::FrameCol;
+use crate::db::{ColKernel, ScanPath};
+use crate::exec::{resolve_cols, Frame, FrameCol, JoinLayout};
 use qbs_common::Ident;
 use qbs_sql::{FromItem, OrderKey, SelectItem, SqlExpr, SqlSelect};
 use qbs_tor::{AggKind, CmpOp};
@@ -42,15 +45,9 @@ pub struct PlanConfig {
     /// Force scans onto the row-at-a-time materialization path instead of
     /// the vectorized columnar one. Benchmarks use this to measure the
     /// columnar speedup; the equivalence suite uses it to prove both
-    /// executors observationally identical. Never enable it for
+    /// scan paths observationally identical. Never enable it for
     /// production execution.
     pub force_row_store: bool,
-    /// Force plan execution onto the tree-walking interpreter instead of
-    /// the compiled bytecode VM. The equivalence suite uses this to prove
-    /// the VM observationally identical to the interpreter; the VM bench
-    /// uses it as the baseline side. Never enable it for production
-    /// execution.
-    pub force_interpreter: bool,
 }
 
 /// An index probe: `column = value` answered by a hash index.
@@ -105,6 +102,9 @@ pub struct ScanNode {
     /// Estimated output cardinality (exact for literal index probes,
     /// coarse selectivity heuristics otherwise).
     pub estimated_rows: usize,
+    /// Row-at-a-time or vectorized, with the pushed filter compiled to a
+    /// column kernel at plan time.
+    pub(crate) path: ScanPath,
 }
 
 impl ScanNode {
@@ -153,6 +153,9 @@ pub struct JoinStep {
     pub residual: Option<SqlExpr>,
     /// Estimated cardinality after this step.
     pub estimated_rows: usize,
+    /// The step's input-pair and output layouts, fused projection
+    /// included.
+    pub(crate) layout: JoinLayout,
 }
 
 impl JoinStep {
@@ -215,7 +218,11 @@ impl AggregateNode {
 ///
 /// `explain()` renders it into a [`Plan`] summary; `Database::execute_plan`
 /// interprets it. The struct clones the query's projection/ordering clauses
-/// so the interpreter needs no access to the original `SqlSelect`.
+/// so the interpreter needs no access to the original `SqlSelect`, and it
+/// carries what the interpreter would otherwise re-derive per execute —
+/// scan kernels, join layouts, sort positions, limit pushdown and
+/// projection fusion — so the plan itself is the program (editing a public field after [`plan_with`]
+/// does not update those resolved parts).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalPlan {
     /// Scans in execution (join) order — reordered when permitted.
@@ -258,6 +265,15 @@ pub struct PhysicalPlan {
     /// resolution (and its runtime errors) when a column cannot be
     /// resolved statically.
     pub projection: Option<(Vec<FrameCol>, Vec<usize>)>,
+    /// The single-scan shape with no later operator that could reject or
+    /// reorder rows: LIMIT (plus OFFSET) is pushed into the scan.
+    pub(crate) scan_limit: bool,
+    /// The projection fuses into the final scan or join step: it resolved
+    /// statically and no residual, aggregate or sort sits in between.
+    pub(crate) fused: bool,
+    /// ORDER BY keys as positions in the pre-sort layout; `None` keeps the
+    /// expression sort (a computed or unresolvable key).
+    pub(crate) sort_keys: Option<Vec<(usize, bool)>>,
 }
 
 impl PhysicalPlan {
@@ -657,6 +673,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             cols_read: Vec::new(),
             pushed_filters,
             estimated_rows,
+            path: ScanPath::Row,
         });
     }
 
@@ -723,6 +740,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             key_idx: None,
             residual: (!connecting.is_empty()).then(|| SqlExpr::conjoin(connecting)),
             estimated_rows: acc_est,
+            layout: JoinLayout::default(),
         });
         joined.insert(alias);
     }
@@ -777,7 +795,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             .iter()
             .map(|k| match k {
                 SqlExpr::Column { qualifier, name } => {
-                    match crate::exec::resolve_cols(&full_layout, qualifier.as_ref(), name) {
+                    match resolve_cols(&full_layout, qualifier.as_ref(), name) {
                         Some(i) => full_layout[i].clone(),
                         None => FrameCol {
                             alias: qualifier.clone().unwrap_or_else(|| Ident::new("")),
@@ -895,7 +913,7 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             let mut refs = Vec::new();
             column_refs(f, &mut refs);
             for (qual, name) in &refs {
-                if let Some(i) = crate::exec::resolve_cols(&scan.cols, qual.as_ref(), name) {
+                if let Some(i) = resolve_cols(&scan.cols, qual.as_ref(), name) {
                     read.insert(i);
                 }
             }
@@ -908,24 +926,26 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
     // materialize.
     let eff_cols: Vec<Vec<FrameCol>> = scans.iter().map(ScanNode::out_cols).collect();
     let mut layout: Vec<FrameCol> = eff_cols.first().cloned().unwrap_or_default();
+    let mut pairs: Vec<Vec<FrameCol>> = Vec::with_capacity(joins.len());
     for (k, step) in joins.iter_mut().enumerate() {
         let right = &eff_cols[k + 1];
         step.key_idx = step.key.as_ref().and_then(|(lk, rk)| {
             let li = match lk {
                 SqlExpr::Column { qualifier, name } => {
-                    crate::exec::resolve_cols(&layout, qualifier.as_ref(), name)
+                    resolve_cols(&layout, qualifier.as_ref(), name)
                 }
                 _ => None,
             }?;
             let ri = match rk {
                 SqlExpr::Column { qualifier, name } => {
-                    crate::exec::resolve_cols(right, qualifier.as_ref(), name)
+                    resolve_cols(right, qualifier.as_ref(), name)
                 }
                 _ => None,
             }?;
             Some((li, ri))
         });
         layout.extend(right.iter().cloned());
+        pairs.push(layout.clone());
     }
     let projection = match &aggregate {
         // Post-aggregate, the frame layout is the operator's output —
@@ -937,11 +957,70 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
             None => None,
         },
     };
+    let residual = (!remaining.is_empty()).then(|| SqlExpr::conjoin(remaining));
+
+    // Execution shape. LIMIT pushdown into the scan is sound only when no
+    // later operator can reject or reorder rows. Projection fusion: with
+    // a statically resolved projection and nothing between the last
+    // scan/join and the projection, the final operator materializes rows
+    // directly in output shape. An aggregate never fuses: its projection
+    // addresses the grouped output layout.
+    let scan_limit = scans.len() == 1
+        && residual.is_none()
+        && aggregate.is_none()
+        && order_by.is_empty()
+        && !q.distinct;
+    let fused = projection.is_some()
+        && residual.is_none()
+        && aggregate.is_none()
+        && order_by.is_empty();
+    let last = joins.len();
+    for (k, (step, pair)) in joins.iter_mut().zip(pairs).enumerate() {
+        let gather = projection.as_ref().filter(|_| fused && k + 1 == last);
+        step.layout = JoinLayout {
+            out: gather.map_or_else(|| pair.clone(), |(cols, _)| cols.clone()),
+            gather: gather.map(|(_, idx)| idx.clone()),
+            pair: Frame::new(pair),
+        };
+    }
+
+    // Scan paths. A pushed limit stops at the k-th match, which is
+    // row-at-a-time by nature; so are index probes and sub-query scans.
+    // Filters compile to column kernels once, parameters left symbolic.
+    let pushes_limit = scan_limit && q.limit.is_some();
+    for scan in &mut scans {
+        scan.path = if !matches!(scan.source, ScanSource::Table(_))
+            || scan.probe.is_some()
+            || pushes_limit
+            || config.force_row_store
+        {
+            ScanPath::Row
+        } else {
+            match &scan.filter {
+                None => ScanPath::Vector(None),
+                Some(f) => ColKernel::compile(f, &scan.cols)
+                    .map_or(ScanPath::Row, |k| ScanPath::Vector(Some(k))),
+            }
+        };
+    }
+
+    // ORDER BY positions: the sort never runs fused, so it sees the
+    // aggregate's output layout or the joined layout of pruned scans.
+    let sort_layout = aggregate.as_ref().map_or(&layout, |agg| &agg.out_cols);
+    let sort_keys = order_by
+        .iter()
+        .map(|k| match &k.expr {
+            SqlExpr::Column { qualifier, name } => {
+                resolve_cols(sort_layout, qualifier.as_ref(), name).map(|pos| (pos, k.asc))
+            }
+            _ => None,
+        })
+        .collect();
 
     PhysicalPlan {
         scans,
         joins,
-        residual: (!remaining.is_empty()).then(|| SqlExpr::conjoin(remaining)),
+        residual,
         aggregate,
         order_by,
         columns,
@@ -952,6 +1031,9 @@ pub fn plan_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) -> Ph
         hoisted_subqueries,
         sort_elided,
         projection,
+        scan_limit,
+        fused,
+        sort_keys,
     }
 }
 
@@ -977,7 +1059,7 @@ fn resolve_projection(
         .iter()
         .map(|item| match &item.expr {
             SqlExpr::Column { qualifier, name } => {
-                let i = crate::exec::resolve_cols(layout, qualifier.as_ref(), name)?;
+                let i = resolve_cols(layout, qualifier.as_ref(), name)?;
                 Some((
                     FrameCol {
                         alias: item.alias.clone().unwrap_or_else(|| layout[i].alias.clone()),
@@ -1109,6 +1191,144 @@ pub fn explain_with(q: &SqlSelect, db: &crate::Database, config: &PlanConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{KernelRhs, Params};
+    use qbs_common::{FieldType, Schema, Value};
+    use qbs_sql::parse_query;
+
+    fn setup() -> crate::Database {
+        let mut db = crate::Database::new();
+        db.create_table(
+            Schema::builder("users")
+                .field("id", FieldType::Int)
+                .field("roleId", FieldType::Int)
+                .finish(),
+        )
+        .unwrap();
+        db.create_table(
+            Schema::builder("roles")
+                .field("roleId", FieldType::Int)
+                .field("label", FieldType::Str)
+                .finish(),
+        )
+        .unwrap();
+        for i in 0..8i64 {
+            db.insert("users", vec![Value::from(i), Value::from(i % 3)]).unwrap();
+        }
+        for r in 0..3i64 {
+            db.insert("roles", vec![Value::from(r), Value::from(format!("role{r}"))]).unwrap();
+        }
+        db
+    }
+
+    fn plan_sql(db: &crate::Database, sql: &str) -> PhysicalPlan {
+        plan(&parse_query(sql).unwrap(), db)
+    }
+
+    #[test]
+    fn join_steps_carry_resolved_layouts() {
+        let db = setup();
+        let p = plan_sql(
+            &db,
+            "SELECT users.id, roles.label FROM users, roles \
+             WHERE users.roleId = roles.roleId AND users.id > 1",
+        );
+        let step = &p.joins[0];
+        assert_eq!(step.algorithm, JoinAlgorithm::Hash);
+        assert!(step.key_idx.is_some(), "{p:?}");
+        // The pair shell concatenates both pruned scan layouts, and the
+        // last step gathers the fused projection straight into output
+        // shape.
+        let pair: Vec<FrameCol> = p.scans.iter().flat_map(ScanNode::out_cols).collect();
+        assert_eq!(step.layout.pair.cols, pair);
+        assert!(p.fused);
+        let (cols, idx) = p.projection.as_ref().expect("static projection");
+        assert_eq!(&step.layout.out, cols);
+        assert_eq!(step.layout.gather.as_ref(), Some(idx));
+        let out = db.execute_plan(&p, &Params::new()).unwrap();
+        assert_eq!(out.stats.joins, vec!["hash"]);
+        assert_eq!(out.rows.len(), 6, "users 2..=7, one role each");
+    }
+
+    #[test]
+    fn parameterized_filter_resolves_to_a_kernel_template() {
+        let db = setup();
+        let p = plan_sql(&db, "SELECT id FROM users WHERE roleId = :r");
+        let template =
+            ColKernel::Cmp { pos: 1, op: CmpOp::Eq, rhs: KernelRhs::Param("r".into()) };
+        assert_eq!(p.scans[0].path, ScanPath::Vector(Some(template)));
+        // The parameter's value is read per execute; left unbound, the
+        // scan takes the row path, which owns the error.
+        let mut params = Params::new();
+        params.insert("r".into(), Value::from(1));
+        assert_eq!(db.execute_plan(&p, &params).unwrap().rows.len(), 3);
+        let err = db.execute_plan(&p, &Params::new()).unwrap_err();
+        assert!(err.to_string().contains("unbound parameter :r"), "{err}");
+    }
+
+    #[test]
+    fn pushed_limit_keeps_the_row_path_and_early_exit() {
+        let db = setup();
+        let p = plan_sql(&db, "SELECT id FROM users LIMIT 2");
+        assert!(p.scan_limit);
+        assert_eq!(p.scans[0].path, ScanPath::Row);
+        let out = db.execute_plan(&p, &Params::new()).unwrap();
+        assert_eq!(out.rows.len(), 2);
+        assert_eq!(out.stats.rows_scanned, 2, "early exit preserved");
+        // Without the limit the same scan is a vectorized sweep.
+        let p = plan_sql(&db, "SELECT id FROM users");
+        assert_eq!(p.scans[0].path, ScanPath::Vector(None));
+    }
+
+    #[test]
+    fn grouped_sort_resolves_positions_in_the_aggregate_layout() {
+        let db = setup();
+        let p = plan_sql(
+            &db,
+            "SELECT roleId, SUM(id) FROM users GROUP BY roleId ORDER BY roleId DESC",
+        );
+        assert_eq!(p.sort_keys, Some(vec![(0, false)]));
+        // An aggregate sort key resolves through its `#agg<i>` column.
+        let mut q = parse_query("SELECT roleId, SUM(id) FROM users GROUP BY roleId").unwrap();
+        q.order_by = vec![OrderKey {
+            expr: SqlExpr::agg(AggKind::Sum, Some(SqlExpr::col("id"))),
+            asc: true,
+        }];
+        let by_sum = plan(&q, &db);
+        assert_eq!(by_sum.sort_keys, Some(vec![(1, true)]));
+        let sums: Vec<i64> = db
+            .execute_plan(&by_sum, &Params::new())
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r.value_at(1).as_int().unwrap())
+            .collect();
+        assert_eq!(sums, vec![7, 9, 12]);
+    }
+
+    #[test]
+    fn shapes_outside_the_resolved_fast_paths_keep_their_fallbacks() {
+        let mut db = setup();
+        // A column-to-column filter is outside the kernel grammar.
+        let p = plan_sql(&db, "SELECT id FROM users WHERE id = roleId");
+        assert_eq!(p.scans[0].path, ScanPath::Row);
+        assert_eq!(db.execute_plan(&p, &Params::new()).unwrap().rows.len(), 3);
+        // A computed sort key keeps the expression sort.
+        let mut q = parse_query("SELECT id FROM users").unwrap();
+        q.order_by = vec![OrderKey {
+            expr: SqlExpr::cmp(SqlExpr::col("roleId"), CmpOp::Eq, SqlExpr::int(0)),
+            asc: false,
+        }];
+        let p = plan(&q, &db);
+        assert_eq!(p.sort_keys, None);
+        let first = db.execute_plan(&p, &Params::new()).unwrap();
+        assert_eq!(first.rows.get(0).unwrap().value_at(0), &Value::from(0));
+        // Index probes and `force_row_store` stay row-at-a-time.
+        let row_store = PlanConfig { force_row_store: true, ..PlanConfig::default() };
+        let q = parse_query("SELECT id FROM users WHERE roleId = 1").unwrap();
+        assert_eq!(plan_with(&q, &db, &row_store).scans[0].path, ScanPath::Row);
+        db.create_index("users", "roleId").unwrap();
+        assert_eq!(plan(&q, &db).scans[0].path, ScanPath::Row);
+    }
 
     #[test]
     fn conjunct_splitting_flattens() {

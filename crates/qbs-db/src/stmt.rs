@@ -48,25 +48,13 @@ pub(crate) fn snapshot(db: &Database, tables: &BTreeSet<Ident>) -> Snapshot {
 
 /// A statement's plan together with the generation snapshot it was
 /// computed against — one value behind one lock, so a concurrent replan
-/// can never pair a new plan with an old snapshot (or vice versa).
-///
-/// The compiled bytecode program rides in the same value: it is compiled
-/// lazily from `plan` on the first execution (`None` inside the cell
-/// records "the VM declined this shape" so the interpreter is used
-/// without re-attempting compilation), and because a replan replaces the
-/// whole `PlanState`, the program can never outlive the plan it was
-/// compiled from — the same generation counters invalidate both.
+/// can never pair a new plan with an old snapshot (or vice versa). The
+/// plan carries its resolved execution shape (scan kernels, join layouts,
+/// sort positions), so the same generation counters invalidate both.
 #[derive(Debug)]
 pub(crate) struct PlanState {
     pub(crate) plan: Arc<PhysicalPlan>,
     pub(crate) snapshot: Snapshot,
-    pub(crate) program: OnceLock<Option<Arc<crate::vm::PlanProgram>>>,
-}
-
-impl PlanState {
-    pub(crate) fn new(plan: Arc<PhysicalPlan>, snapshot: Snapshot) -> PlanState {
-        PlanState { plan, snapshot, program: OnceLock::new() }
-    }
 }
 
 /// Hashes the statement's canonical text together with the planner
@@ -77,7 +65,6 @@ pub(crate) fn fingerprint(canonical: &str, config: &PlanConfig) -> u64 {
     config.reorder_joins.hash(&mut h);
     config.force_nested_loop.hash(&mut h);
     config.force_row_store.hash(&mut h);
-    config.force_interpreter.hash(&mut h);
     h.finish()
 }
 
@@ -157,7 +144,7 @@ impl PreparedStatement {
             text,
             param_order,
             dialect,
-            current: Mutex::new(PlanState::new(plan, snapshot)),
+            current: Mutex::new(PlanState { plan, snapshot }),
             out_schema: OnceLock::new(),
             tables,
             query,

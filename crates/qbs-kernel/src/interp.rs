@@ -79,34 +79,34 @@ pub struct RunResult {
 }
 
 /// Default iteration budget across all loops.
-pub(crate) const DEFAULT_FUEL: u64 = 50_000_000;
+const DEFAULT_FUEL: u64 = 50_000_000;
 
 /// The field name used when scalars are appended to lists: a scalar list is
 /// represented as a single-column relation.
-pub(crate) const SCALAR_COL: &str = "val";
+const SCALAR_COL: &str = "val";
 
-pub(crate) fn want_rel(v: DynValue, context: &'static str) -> Result<Relation> {
+fn want_rel(v: DynValue, context: &'static str) -> Result<Relation> {
     match v {
         DynValue::Rel(r) => Ok(r),
         other => Err(InterpError::Kind { context, expected: "list", found: other.kind() }),
     }
 }
 
-pub(crate) fn want_int(v: DynValue, context: &'static str) -> Result<i64> {
+fn want_int(v: DynValue, context: &'static str) -> Result<i64> {
     match v {
         DynValue::Scalar(Value::Int(i)) => Ok(i),
         other => Err(InterpError::Kind { context, expected: "int", found: other.kind() }),
     }
 }
 
-pub(crate) fn want_bool(v: DynValue, context: &'static str) -> Result<bool> {
+fn want_bool(v: DynValue, context: &'static str) -> Result<bool> {
     match v {
         DynValue::Scalar(Value::Bool(b)) => Ok(b),
         other => Err(InterpError::Kind { context, expected: "bool", found: other.kind() }),
     }
 }
 
-pub(crate) fn scalar_record(v: Value) -> Record {
+fn scalar_record(v: Value) -> Record {
     let ty = match &v {
         Value::Bool(_) => qbs_common::FieldType::Bool,
         Value::Int(_) => qbs_common::FieldType::Int,
@@ -116,11 +116,11 @@ pub(crate) fn scalar_record(v: Value) -> Record {
     Record::new(schema, vec![v])
 }
 
-pub(crate) fn values_equal(a: &Record, b: &Record) -> bool {
+fn values_equal(a: &Record, b: &Record) -> bool {
     a.values() == b.values()
 }
 
-pub(crate) fn field_type_of(v: &Value) -> qbs_common::FieldType {
+fn field_type_of(v: &Value) -> qbs_common::FieldType {
     match v {
         Value::Bool(_) => qbs_common::FieldType::Bool,
         Value::Int(_) => qbs_common::FieldType::Int,
@@ -726,6 +726,78 @@ mod tests {
             .result("out")
             .finish();
         assert!(matches!(run(&prog, Env::new()), Err(InterpError::AssertionFailed(_))));
+    }
+
+    #[test]
+    fn short_circuit_and_skips_the_right_operand() {
+        // `false ∧ (1 = [])` does not error: the right operand is never
+        // evaluated.
+        let prog = KernelProgram::builder("f")
+            .stmt(KStmt::assign(
+                "out",
+                KExpr::and(
+                    KExpr::bool(false),
+                    KExpr::cmp(CmpOp::Eq, KExpr::int(1), KExpr::EmptyList),
+                ),
+            ))
+            .result("out")
+            .finish();
+        assert_eq!(run(&prog, Env::new()).unwrap().result.as_bool(), Some(false));
+    }
+
+    #[test]
+    fn record_sort_remove_contains_round_trip() {
+        let (s, rel) = users_table();
+        let prog = KernelProgram::builder("mix")
+            .stmt(KStmt::assign("users", KExpr::query(QuerySpec::table_scan("users", s))))
+            .stmt(KStmt::assign("sorted", KExpr::SortCustom(Box::new(KExpr::var("users")))))
+            .stmt(KStmt::assign(
+                "trimmed",
+                KExpr::Remove(
+                    Box::new(KExpr::var("sorted")),
+                    Box::new(KExpr::get(KExpr::var("sorted"), KExpr::int(0))),
+                ),
+            ))
+            .stmt(KStmt::assign(
+                "r",
+                KExpr::RecordLit(vec![
+                    ("n".into(), KExpr::size(KExpr::var("trimmed"))),
+                    (
+                        "has".into(),
+                        KExpr::contains(
+                            KExpr::var("trimmed"),
+                            KExpr::get(KExpr::var("users"), KExpr::int(1)),
+                        ),
+                    ),
+                ]),
+            ))
+            .stmt(KStmt::assign("out", KExpr::field(KExpr::var("r"), "n")))
+            .result("out")
+            .finish();
+        let mut env = Env::new();
+        env.bind_table("users", rel);
+        assert_eq!(run(&prog, env).unwrap().result.as_int(), Some(2));
+    }
+
+    #[test]
+    fn bounds_kind_and_unbound_failures_are_typed_errors() {
+        let oob = KernelProgram::builder("oob")
+            .stmt(KStmt::assign("xs", KExpr::EmptyList))
+            .stmt(KStmt::assign("xs", KExpr::append(KExpr::var("xs"), KExpr::int(1))))
+            .stmt(KStmt::assign("out", KExpr::get(KExpr::var("xs"), KExpr::int(5))))
+            .result("out")
+            .finish();
+        assert_eq!(run(&oob, Env::new()), Err(InterpError::OutOfBounds { index: 5, len: 1 }));
+        let kind = KernelProgram::builder("kind")
+            .stmt(KStmt::assign("out", KExpr::add(KExpr::int(1), KExpr::bool(true))))
+            .result("out")
+            .finish();
+        assert!(matches!(run(&kind, Env::new()), Err(InterpError::Kind { .. })));
+        let unbound = KernelProgram::builder("unbound")
+            .stmt(KStmt::assign("out", KExpr::var("nope")))
+            .result("out")
+            .finish();
+        assert_eq!(run(&unbound, Env::new()), Err(InterpError::UnknownVar("nope".into())));
     }
 
     #[test]

@@ -68,10 +68,8 @@ mod ast;
 mod interp;
 mod pretty;
 mod typeck;
-mod vm;
 
 pub use ast::{KExpr, KStmt, KernelProgram, KernelProgramBuilder};
 pub use interp::{eval_expr, run, InterpError, RunResult};
 pub use pretty::pretty;
 pub use typeck::{typecheck, TypecheckError, VarTypes};
-pub use vm::{compile, vm_metrics, CompiledProgram};

@@ -2,17 +2,14 @@
 //! the synthesized SQL on the same database, then compare under the
 //! correct TOR equivalence.
 //!
-//! Both sides execute *compiled* programs. The SQL side runs through a
-//! [`Connection`] and a single [`PreparedStatement`] per fragment —
-//! planned once at [`check_opts`] (or [`check_many`]) entry, then
-//! executed for the initial run, every witness-minimization candidate,
-//! and every seeded database; the returned [`ExecStats`] therefore
-//! expose the plan-cache behaviour (`plan_cache_hits` / `replans`)
-//! alongside the row counters. The kernel side is lowered once per
-//! check entry with [`qbs_kernel::compile`] and replayed through the
-//! bytecode VM across minimization candidates and seeds (the VM's
-//! results and errors are interpreter-identical by construction, which
-//! the `vm_equivalence` suite re-verifies differentially).
+//! The SQL side runs through a [`Connection`] and a single
+//! [`PreparedStatement`] per fragment — planned once at [`check_opts`]
+//! (or [`check_many`]) entry, then executed for the initial run, every
+//! witness-minimization candidate, and every seeded database; the returned
+//! [`ExecStats`] therefore expose the plan-cache behaviour
+//! (`plan_cache_hits` / `replans`) alongside the row counters. The kernel
+//! side runs the fragment through [`qbs_kernel::run`], the kernel
+//! language's interpreter.
 
 use crate::verdict::{MismatchWitness, OracleVerdict};
 use qbs_common::Ident;
@@ -20,7 +17,7 @@ use qbs_db::{
     rows_diff, Connection, Database, ExecStats, Params, PlanConfig, PreparedStatement,
     QueryOutput, RowsEquivalence,
 };
-use qbs_kernel::{CompiledProgram, KernelProgram};
+use qbs_kernel::KernelProgram;
 use qbs_sql::{Dialect, SqlQuery};
 use qbs_tor::DynValue;
 
@@ -119,21 +116,21 @@ pub fn proven_equivalence(sql: &SqlQuery) -> RowsEquivalence {
 }
 
 fn run_both(
-    kernel: &CompiledProgram,
+    kernel: &KernelProgram,
     stmt: &PreparedStatement,
     conn: &Connection,
     params: &Params,
     exec: &mut Option<ExecStats>,
     times: &mut SideTimes,
 ) -> Outcome {
-    // Original semantics: the compiled kernel program over the
-    // database's relations, with bind parameters as scalar variables.
+    // Original semantics: the kernel program over the database's
+    // relations, with bind parameters as scalar variables.
     let mut env = conn.database().env();
     for (name, value) in params {
         env.bind(name.clone(), value.clone());
     }
     let opened = std::time::Instant::now();
-    let run = match kernel.run(env) {
+    let run = match qbs_kernel::run(kernel, env) {
         Ok(r) => r,
         Err(e) => return Outcome::Inconclusive(format!("interpreter failed: {e}")),
     };
@@ -280,9 +277,6 @@ fn check_with_handle(
     params: &Params,
     opts: &CheckOptions,
 ) -> CheckOutcome {
-    // Lower the fragment once; the initial run, every minimization
-    // candidate, and the witness re-derivation replay the bytecode.
-    let compiled = qbs_kernel::compile(kernel);
     let witness = |diff, original, translated, db| {
         OracleVerdict::Mismatch(Box::new(MismatchWitness {
             fragment: kernel.name().to_string(),
@@ -295,7 +289,7 @@ fn check_with_handle(
     };
     let mut exec = None;
     let mut times = SideTimes::default();
-    let verdict = match run_both(&compiled, stmt, conn, params, &mut exec, &mut times) {
+    let verdict = match run_both(kernel, stmt, conn, params, &mut exec, &mut times) {
         Outcome::Agree { rows, equivalence } => OracleVerdict::Agree { rows, equivalence },
         Outcome::Inconclusive(reason) => OracleVerdict::Inconclusive { reason },
         Outcome::Diff { diff, original, translated } if !opts.minimize => {
@@ -303,14 +297,14 @@ fn check_with_handle(
         }
         Outcome::Diff { diff, original, translated } => {
             let full = (*conn.database()).clone();
-            let minimized = minimize_with(&compiled, stmt, &full, params, &opts.plan_config());
+            let minimized = minimize_with(kernel, stmt, &full, params, &opts.plan_config());
             // Re-derive the divergence on the minimized database so the
             // witness is self-contained.
             let mut scratch = None;
             let reconn =
                 Connection::open_with(minimized.clone(), opts.plan_config(), Dialect::Generic);
             match run_both(
-                &compiled,
+                kernel,
                 stmt,
                 &reconn,
                 params,
@@ -365,7 +359,7 @@ pub fn minimize(
     let config = PlanConfig::default();
     let conn = Connection::open_with(db.clone(), config.clone(), Dialect::Generic);
     let stmt = conn.prepare_query(sql);
-    minimize_with(&qbs_kernel::compile(kernel), &stmt, db, params, &config)
+    minimize_with(kernel, &stmt, db, params, &config)
 }
 
 /// [`minimize`] under the plan configuration the mismatch was found with,
@@ -373,7 +367,7 @@ pub fn minimize(
 /// candidate database executes the *same* prepared handle, moving in and
 /// out of a throwaway connection without being copied.
 fn minimize_with(
-    kernel: &CompiledProgram,
+    kernel: &KernelProgram,
     stmt: &PreparedStatement,
     db: &Database,
     params: &Params,
